@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .errors import GeometryError, InputError, PipelineError
+from .errors import GeometryError, InputError, ParseError, PipelineError
 from .pipeline import extract_trajectory
 from .synth import NoiseSpec, builtin_scenarios, get_scenario, run_pipeline, simulate
 
@@ -38,7 +38,25 @@ def _load_config(args) -> tio.PipelineConfig:
     cfg = tio.read_config(args.config) if args.config else tio.default_config()
     if args.set:
         cfg = cfg.with_overrides(args.set)
+    _check_ranges(cfg)
     return cfg
+
+
+def _check_ranges(cfg: tio.PipelineConfig):
+    """Reject an out-of-range value as bad input, naming its key.
+
+    Each key is tried alone on top of the defaults through the objects
+    the commands build from it, so their own checks are the range rules.
+    """
+    defaults = tio.default_config().values
+    for key, value in cfg.values.items():
+        one = tio.PipelineConfig({**defaults, key: value})
+        try:
+            if one["frame_rate"] <= 0.0:
+                raise ValueError("frame rate must be positive")
+            one.camera(), one.robot(), one.filter_params(), _noise_from_config(one)
+        except ValueError as e:
+            raise ParseError(f"bad value '{value}' for {key}: {e}") from None
 
 
 def _add_config_args(p: argparse.ArgumentParser):
@@ -65,16 +83,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _metrics_lines(m) -> str:
-    return (
-        f"path_length_m {m.path_length_m!r}\n"
-        f"final_goal_error_m {m.final_goal_error_m!r}\n"
-        f"tracking_rmse_m {m.tracking_rmse_m!r}\n"
-        f"tracking_max_m {m.tracking_max_m!r}\n"
-        f"success {1 if m.success else 0}"
-    )
 
 
 def _cmd_extract(args) -> int:
@@ -123,7 +131,7 @@ def _cmd_eval(args) -> int:
     tio.write_ground_track(trial.extraction.ground_track, out / "ground_track.txt")
     tio.write_ground_track(trial.truth, out / "truth.txt")
     tio.write_metrics(trial.metrics, out / "metrics.txt")
-    print(_metrics_lines(trial.metrics))
+    tio.write_metrics(trial.metrics, sys.stdout)
     return 0
 
 

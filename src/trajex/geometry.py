@@ -68,24 +68,14 @@ class Rotation:
     def from_axis_angle(axis: np.ndarray, angle: float) -> "Rotation":
         """Rodrigues formula; axis need not be unit length."""
         axis = np.asarray(axis, dtype=float)
-        n = np.linalg.norm(axis)
-        if n == 0.0:
+        if np.linalg.norm(axis) == 0.0:
             raise ValueError("rotation axis must be nonzero")
-        k = axis / n
-        K = skew(k)
-        m = np.eye(3) + np.sin(angle) * K + (1.0 - np.cos(angle)) * (K @ K)
-        return Rotation(m)
+        return Rotation(_rodrigues(axis, angle))
 
     @staticmethod
     def from_rotvec(rotvec: np.ndarray) -> "Rotation":
         """Exponential map of a rotation vector (angle * unit axis)."""
-        rotvec = np.asarray(rotvec, dtype=float)
-        angle = np.linalg.norm(rotvec)
-        if angle < 1e-12:
-            # second-order series keeps this exact enough near zero
-            K = skew(rotvec)
-            return Rotation(_orthonormalize(np.eye(3) + K + 0.5 * (K @ K)))
-        return Rotation.from_axis_angle(rotvec, angle)
+        return Rotation(_rodrigues(np.asarray(rotvec, dtype=float)))
 
     @staticmethod
     def from_quaternion(q: np.ndarray, tol: float = 1e-6) -> "Rotation":
@@ -163,6 +153,23 @@ class Rotation:
         """Geodesic angle in radians between two rotations."""
         c = (np.trace(self.matrix.T @ other.matrix) - 1.0) / 2.0
         return float(np.arccos(np.clip(c, -1.0, 1.0)))
+
+
+def _rodrigues(axis: np.ndarray, angle: float | None = None) -> np.ndarray:
+    """Rotation by angle about axis (any nonzero length), as a plain matrix.
+
+    With angle None, axis is a rotation vector and its norm is the angle.
+    No checks: the pose refinement calls this on its hot path.
+    """
+    k = skew(axis)
+    n = np.linalg.norm(axis)
+    if angle is None:
+        angle = n
+        if angle < 1e-12:
+            # second-order series keeps this exact enough near zero
+            return np.eye(3) + k + 0.5 * (k @ k)
+    k /= n
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def _orthonormalize(m: np.ndarray) -> np.ndarray:
@@ -285,11 +292,6 @@ class CameraIntrinsics:
             if not np.isfinite(v):
                 raise ValueError("intrinsics must be finite")
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def normalize(self, px: Pixel) -> np.ndarray:
         """Pixel to normalized image coordinates (x/z, y/z)."""
         return np.array([(px.u - self.cx) / self.fx, (px.v - self.cy) / self.fy])
@@ -309,16 +311,9 @@ def project(intrinsics: CameraIntrinsics, p_cam: Point3 | np.ndarray) -> Pixel:
     """
     if isinstance(p_cam, Point3):
         _check_frames(CAMERA, p_cam.frame, "project")
-        v = p_cam.xyz
-    else:
-        v = np.asarray(p_cam, dtype=float)
-    z = v[2]
-    if z <= _MIN_DEPTH:
-        raise PointBehindCamera(f"depth {z:.3g} is not in front of the camera")
-    return Pixel(
-        float(intrinsics.fx * v[0] / z + intrinsics.cx),
-        float(intrinsics.fy * v[1] / z + intrinsics.cy),
-    )
+        p_cam = p_cam.xyz
+    u, v = project_points(intrinsics, np.asarray(p_cam, dtype=float)[None, :])[0]
+    return Pixel(float(u), float(v))
 
 
 def project_points(intrinsics: CameraIntrinsics, pts_cam: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import CAMERA, WORLD, CameraIntrinsics, RigidTransform, Rotation
+from .geometry import invert as _invert
 from .kalman import FilterParams
 from .pnp import BoundingBox, RobotModel
 from .trajectory import GroundTrack, NavMetrics, Trajectory
@@ -77,13 +78,12 @@ class FrameObservation:
 
 def _iter_lines(source):
     """Yield (name, lineno, content) for non-blank, non-comment lines."""
+    name = _source_name(source)
     if isinstance(source, (str, Path)):
         with open(source) as f:
             lines = f.read().splitlines()
-        name = str(source)
     else:
         lines = source.read().splitlines() if hasattr(source, "read") else list(source)
-        name = getattr(source, "name", "<stream>")
     for i, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -238,12 +238,10 @@ def read_camera_poses(source, quat_tol: float = 1e-6) -> list[CameraPoseRecord]:
 
 
 def write_camera_poses(records, target):
-    lines = []
-    for r in records:
-        t = r.pose.translation
-        q = r.pose.rotation.to_quaternion()
-        lines.append(" ".join(_fmt(v) for v in (r.timestamp, t[0], t[1], t[2], q[0], q[1], q[2], q[3])))
-    write_text(target, "\n".join(lines) + "\n")
+    _write_rows(
+        ((r.timestamp, *r.pose.translation, *r.pose.rotation.to_quaternion()) for r in records),
+        target,
+    )
 
 
 def adapt_poses(
@@ -265,10 +263,7 @@ def adapt_poses(
             r.pose.rotation, r.pose.translation * scale, r.pose.frame_from, r.pose.frame_to
         )
         if invert:
-            rot = pose.rotation.inverse()
-            pose = RigidTransform(
-                rot, -rot.apply(pose.translation), frame_from=CAMERA, frame_to=WORLD
-            )
+            pose = _invert(pose)
         pose = RigidTransform(
             remap @ pose.rotation,
             remap.apply(pose.translation),
@@ -306,45 +301,39 @@ def _axes_rotation(spec: str) -> Rotation:
 # trajectories, tracks, metrics
 
 
-def read_trajectory(source) -> Trajectory:
+def _read_rows(source, ncols: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ncols finite floats, as (first column, remaining columns)."""
     times, pts = [], []
     for name, lineno, line in _iter_lines(source):
         tok = line.split()
-        if len(tok) != 4:
-            raise ParseError(f"expected 4 fields, got {len(tok)}", source=name, line=lineno)
-        vals = [_parse_float(tok[i], name, lineno, "trajectory field") for i in range(4)]
+        if len(tok) != ncols:
+            raise ParseError(f"expected {ncols} fields, got {len(tok)}", source=name, line=lineno)
+        vals = [_parse_float(v, name, lineno, f"{what} field") for v in tok]
         times.append(vals[0])
         pts.append(vals[1:])
     if not times:
-        raise ParseError("trajectory file is empty", source=_source_name(source))
-    return Trajectory(np.array(times), np.array(pts))
+        raise ParseError(f"{what} file is empty", source=_source_name(source))
+    return np.array(times), np.array(pts)
+
+
+def _write_rows(rows, target):
+    write_text(target, "\n".join(" ".join(_fmt(v) for v in row) for row in rows) + "\n")
+
+
+def read_trajectory(source) -> Trajectory:
+    return Trajectory(*_read_rows(source, 4, "trajectory"))
 
 
 def write_trajectory(traj: Trajectory, target):
-    lines = [
-        " ".join(_fmt(v) for v in (t, p[0], p[1], p[2]))
-        for t, p in zip(traj.times, traj.positions)
-    ]
-    write_text(target, "\n".join(lines) + "\n")
+    _write_rows(np.column_stack([traj.times, traj.positions]), target)
 
 
 def read_ground_track(source) -> GroundTrack:
-    times, pts = [], []
-    for name, lineno, line in _iter_lines(source):
-        tok = line.split()
-        if len(tok) != 3:
-            raise ParseError(f"expected 3 fields, got {len(tok)}", source=name, line=lineno)
-        vals = [_parse_float(tok[i], name, lineno, "track field") for i in range(3)]
-        times.append(vals[0])
-        pts.append(vals[1:])
-    if not times:
-        raise ParseError("ground track file is empty", source=_source_name(source))
-    return GroundTrack(np.array(times), np.array(pts))
+    return GroundTrack(*_read_rows(source, 3, "ground track"))
 
 
 def write_ground_track(track: GroundTrack, target):
-    lines = [" ".join(_fmt(v) for v in (t, p[0], p[1])) for t, p in zip(track.times, track.xy)]
-    write_text(target, "\n".join(lines) + "\n")
+    _write_rows(np.column_stack([track.times, track.xy]), target)
 
 
 _METRIC_KEYS = (
@@ -465,7 +454,6 @@ _CONFIG_SPECS = [
     ("sim.dropout", "float", 0.0, "synthetic detection dropout probability"),
     ("sim.pose_sigma_t", "float", 0.0, "synthetic pose translation noise, m"),
     ("sim.pose_sigma_r", "float", 0.0, "synthetic pose rotation noise, rad"),
-    ("sim.executor", "str", "auto", "path executor: auto, diff_drive, quadruped_proxy, identity"),
 ]
 
 _SPEC_BY_KEY = {k: (typ, default, doc) for k, typ, default, doc in _CONFIG_SPECS}
@@ -475,14 +463,9 @@ def _parse_config_value(key: str, text: str, source=None, line=None):
     typ = _SPEC_BY_KEY[key][0]
     text = text.strip()
     try:
-        if typ == "float":
-            v = float(text)
-            if not np.isfinite(v):
-                raise ValueError
-            return v
-        if typ == "float_or_auto":
-            if text == "auto":
-                return "auto"
+        if typ == "float_or_auto" and text == "auto":
+            return "auto"
+        if typ in ("float", "float_or_auto"):
             v = float(text)
             if not np.isfinite(v):
                 raise ValueError
@@ -532,16 +515,7 @@ class PipelineConfig:
 
     def with_overrides(self, pairs: list[str]) -> "PipelineConfig":
         """Apply 'key=value' override strings, as given on a command line."""
-        values = dict(self.values)
-        for pair in pairs:
-            if "=" not in pair:
-                raise ParseError(f"override '{pair}' is not key=value", source="--set")
-            key, _, text = pair.partition("=")
-            key = key.strip()
-            if key not in _SPEC_BY_KEY:
-                raise ParseError(f"unknown config key '{key}'", source="--set")
-            values[key] = _parse_config_value(key, text, source="--set")
-        return PipelineConfig(values)
+        return _apply_settings(self.values, (("--set", None, pair) for pair in pairs))
 
 
 def default_config() -> PipelineConfig:
@@ -550,10 +524,15 @@ def default_config() -> PipelineConfig:
 
 def read_config(source) -> PipelineConfig:
     """Parse 'key = value' lines on top of the defaults."""
-    values = dict(default_config().values)
-    for name, lineno, line in _iter_lines(source):
+    return _apply_settings(default_config().values, _iter_lines(source))
+
+
+def _apply_settings(values: dict, settings) -> PipelineConfig:
+    """values updated by (source name, line number, 'key = value') triples."""
+    values = dict(values)
+    for name, lineno, line in settings:
         if "=" not in line:
-            raise ParseError("expected 'key = value'", source=name, line=lineno)
+            raise ParseError(f"expected 'key = value', got '{line}'", source=name, line=lineno)
         key, _, text = line.partition("=")
         key = key.strip()
         if key not in _SPEC_BY_KEY:

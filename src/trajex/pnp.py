@@ -27,10 +27,14 @@ from .errors import (
 )
 from .geometry import (
     CAMERA,
+    ROBOT,
+    _MIN_DEPTH,
     CameraIntrinsics,
     Point3,
     RigidTransform,
     Rotation,
+    _orthonormalize,
+    _rodrigues,
     project_points,
     skew,
 )
@@ -99,7 +103,7 @@ class PnpSolution:
         object.__setattr__(self, "translation", t)
 
     def as_transform(self) -> RigidTransform:
-        return RigidTransform(self.rotation, self.translation, frame_from="robot", frame_to=CAMERA)
+        return RigidTransform(self.rotation, self.translation, frame_from=ROBOT, frame_to=CAMERA)
 
 
 def bbox_to_image_points(bbox: BoundingBox) -> np.ndarray:
@@ -145,29 +149,12 @@ def _homography_dlt(model_xy: np.ndarray, norm_xy: np.ndarray) -> np.ndarray:
 
 
 def _rotate_z_to(w: np.ndarray) -> Rotation:
-    """Smallest rotation taking the +z axis onto unit vector w."""
-    c = w[2]
+    """Smallest rotation taking the +z axis onto unit vector w, w[2] > 0."""
     axis = np.array([-w[1], w[0], 0.0])
     s = np.linalg.norm(axis)
     if s < 1e-12:
-        if c > 0.0:
-            return Rotation.identity()
-        # directly behind: rotate pi about x (any perpendicular axis works)
-        return Rotation.from_axis_angle(np.array([1.0, 0.0, 0.0]), np.pi)
-    return Rotation.from_axis_angle(axis, float(np.arctan2(s, c)))
-
-
-def _reprojection_rmse(
-    rotation: Rotation,
-    translation: np.ndarray,
-    model_pts: np.ndarray,
-    image_pts: np.ndarray,
-    intrinsics: CameraIntrinsics,
-) -> float:
-    cam = model_pts @ rotation.matrix.T + translation
-    px = project_points(intrinsics, cam)
-    d2 = np.sum((px - image_pts) ** 2, axis=1)
-    return float(np.sqrt(np.mean(d2)))
+        return Rotation.identity()
+    return Rotation.from_axis_angle(axis, float(np.arctan2(s, w[2])))
 
 
 def _translation_for(rotation: Rotation, model_pts: np.ndarray, norm_xy: np.ndarray) -> np.ndarray:
@@ -255,10 +242,7 @@ def solve_ippe(
     for sign in (1.0, -1.0):
         top = np.column_stack([m22, sign * col])
         bottom = np.cross(top[0], top[1])
-        q = np.vstack([top, bottom])
-        u, _, vt = np.linalg.svd(q)
-        d = np.sign(np.linalg.det(u @ vt))
-        q = u @ np.diag([1.0, 1.0, d]) @ vt
+        q = _orthonormalize(np.vstack([top, bottom]))
         candidates.append(Rotation(rv.matrix @ q))
         if lam == 0.0:
             break  # frontoparallel: both signs give the same rotation
@@ -266,13 +250,11 @@ def solve_ippe(
     solutions = []
     for rot in candidates:
         t = _translation_for(rot, model_pts, k_inv_applied)
-        if t[2] <= 0.0:
+        try:
+            res = _residual_m(rot.matrix, t, model_pts, image_points, intrinsics)
+        except PointBehindCamera:
             continue
-        cam = model_pts @ rot.matrix.T + t
-        if np.any(cam[:, 2] <= 1e-9):
-            continue
-        rmse = _reprojection_rmse(rot, t, model_pts, image_points, intrinsics)
-        solutions.append(PnpSolution(rot, t, rmse))
+        solutions.append(PnpSolution(rot, t, _rmse(res)))
     if not solutions:
         raise NoValidPose("no pose candidate places the face in front of the camera")
     solutions.sort(key=lambda s: s.rmse)
@@ -291,6 +273,11 @@ def _residual_m(
     return (image_pts - px).ravel()
 
 
+def _rmse(res: np.ndarray) -> float:
+    """Root-mean-square corner distance of a stacked (2N,) pixel residual."""
+    return float(np.sqrt(np.mean(np.sum(res.reshape(-1, 2) ** 2, axis=1))))
+
+
 def _jacobian_m(
     rot_m: np.ndarray,
     t: np.ndarray,
@@ -302,7 +289,7 @@ def _jacobian_m(
     for i in range(n):
         rp = rot_m @ model_pts[i]
         x, y, z = rp + t
-        if z <= 1e-9:
+        if z <= _MIN_DEPTH:
             raise PointBehindCamera(f"point {i} has depth {z:.3g}")
         dpi = np.array(
             [
@@ -315,16 +302,6 @@ def _jacobian_m(
         jac[2 * i : 2 * i + 2, :3] = dpi @ skew(rp)
         jac[2 * i : 2 * i + 2, 3:] = -dpi
     return jac
-
-
-def _rodrigues(w: np.ndarray) -> np.ndarray:
-    """exp of a rotation vector, as a plain matrix (hot path, no checks)."""
-    angle = np.linalg.norm(w)
-    k = skew(w)
-    if angle < 1e-12:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    k /= angle
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
 def reprojection_residual(
@@ -423,13 +400,7 @@ def refine_pose(
                 raise DivergedRefinement("no damping value produced an acceptable step")
             break
 
-    if t[2] <= 0.0:
-        # polish wandered behind the camera; keep the closed-form answer
-        return solution
-    rmse = float(np.sqrt(np.mean(np.sum(res.reshape(-1, 2) ** 2, axis=1))))
-    u, _, vt = np.linalg.svd(rot_m)
-    d = np.sign(np.linalg.det(u @ vt))
-    return PnpSolution(Rotation(u @ np.diag([1.0, 1.0, d]) @ vt), t, rmse)
+    return PnpSolution(Rotation(_orthonormalize(rot_m)), t, _rmse(res))
 
 
 def estimate_robot_pose(

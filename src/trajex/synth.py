@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RobotOutsideFrustum, UnknownScenario
-from .geometry import CAMERA, WORLD, RigidTransform, Rotation, invert
+from .geometry import CAMERA, WORLD, RigidTransform, Rotation, invert, project_points
 from .io import (
     CameraPoseRecord,
     DetectionRecord,
@@ -33,7 +33,7 @@ from .io import (
 )
 from .pipeline import ExtractionResult, extract_trajectory
 from .pnp import BoundingBox
-from .trajectory import GroundTrack, NavMetrics, compute_metrics
+from .trajectory import GroundTrack, NavMetrics, compute_metrics, path_length
 
 
 @dataclass(frozen=True)
@@ -233,8 +233,7 @@ def _resample(pts: np.ndarray, spacing: float) -> np.ndarray:
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     keep = np.concatenate([[True], seg > 1e-12])
     pts = pts[keep]
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = _arc_length(pts)
     grid = np.arange(0.0, s[-1], spacing)
     grid = np.append(grid, s[-1])
     x = np.interp(grid, s, pts[:, 0])
@@ -273,9 +272,9 @@ def execute(
     path = np.asarray(path, dtype=float)
     n = int(round(duration * rate)) + 1
     times = np.arange(n) / rate
+    s = _arc_length(path)
 
     if mode == "identity":
-        s = _arc_length(path)
         travel = np.minimum(times * speed, s[-1])
         x = np.interp(travel, s, path[:, 0])
         y = np.interp(travel, s, path[:, 1])
@@ -283,7 +282,6 @@ def execute(
     if mode not in ("diff_drive", "quadruped_proxy"):
         raise ValueError(f"unknown executor mode '{mode}'")
 
-    s = _arc_length(path)
     goal = path[-1]
     dt = 1.0 / rate
     k_slow = 4.0
@@ -378,8 +376,7 @@ def simulate(
     frame_rate = float(config["frame_rate"])
 
     path = planned_path(scenario)
-    mode = scenario.executor if config["sim.executor"] == "auto" else config["sim.executor"]
-    exec_times, exec_xy = execute(path, mode, scenario.speed, scenario.duration)
+    exec_times, exec_xy = execute(path, scenario.executor, scenario.speed, scenario.duration)
 
     n_frames = int(scenario.duration * frame_rate)
     frame_times = np.arange(n_frames) / frame_rate
@@ -411,10 +408,7 @@ def simulate(
         center_c = cam_inv.rotation.apply(center_w) + cam_inv.translation
         if center_c[2] < 0.1:
             raise RobotOutsideFrustum(f"frame {k}: face depth {center_c[2]:.3f} m")
-        corners_c = center_c + corners_offset
-        z = corners_c[:, 2]
-        u = intrinsics.fx * corners_c[:, 0] / z + intrinsics.cx
-        v = intrinsics.fy * corners_c[:, 1] / z + intrinsics.cy
+        u, v = project_points(intrinsics, center_c + corners_offset).T
         if np.min(u) < 0.0 or np.max(u) > u_max or np.min(v) < 0.0 or np.max(v) > v_max:
             raise RobotOutsideFrustum(f"frame {k}: face projects outside the image")
 
@@ -507,8 +501,5 @@ def run_pipeline(
         scenario.goal,
         threshold=float(config["success.threshold"]),
     )
-    truth_len = float(
-        np.sum(np.linalg.norm(np.diff(scene.truth.xy, axis=0), axis=1))
-    )
-    metrics = replace(metrics, path_length_m=truth_len)
+    metrics = replace(metrics, path_length_m=path_length(scene.truth.xy))
     return TrialResult(scenario, metrics, extraction, scene.truth, scene)

@@ -17,6 +17,24 @@ from .geometry import Point3, RigidTransform, transform_point
 from .kalman import FilteredSample
 
 
+def _freeze_track(track, what: str, field: str, dim: int):
+    """Validate times and the (N, dim) point field, then store read-only arrays."""
+    t = np.asarray(track.times, dtype=float)
+    p = np.asarray(getattr(track, field), dtype=float)
+    if t.ndim != 1 or p.shape != (t.shape[0], dim):
+        raise ValueError(f"shape mismatch: times {t.shape}, {field} {p.shape}")
+    if t.shape[0] == 0:
+        raise EmptySequence(f"{what} has no points")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+        raise ValueError(f"{what} must be finite")
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError(f"{what} times must strictly increase")
+    t.flags.writeable = False
+    p.flags.writeable = False
+    object.__setattr__(track, "times", t)
+    object.__setattr__(track, field, p)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Timestamped world-frame positions; times strictly increasing."""
@@ -25,20 +43,7 @@ class Trajectory:
     positions: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        p = np.asarray(self.positions, dtype=float)
-        if t.ndim != 1 or p.shape != (t.shape[0], 3):
-            raise ValueError(f"shape mismatch: times {t.shape}, positions {p.shape}")
-        if t.shape[0] == 0:
-            raise EmptySequence("trajectory has no points")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
-            raise ValueError("trajectory must be finite")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("trajectory times must strictly increase")
-        t.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "positions", p)
+        _freeze_track(self, "trajectory", "positions", 3)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
@@ -52,20 +57,7 @@ class GroundTrack:
     xy: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        xy = np.asarray(self.xy, dtype=float)
-        if t.ndim != 1 or xy.shape != (t.shape[0], 2):
-            raise ValueError(f"shape mismatch: times {t.shape}, xy {xy.shape}")
-        if t.shape[0] == 0:
-            raise EmptySequence("ground track has no points")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(xy))):
-            raise ValueError("ground track must be finite")
-        if np.any(np.diff(t) <= 0.0):
-            raise ValueError("ground track times must strictly increase")
-        t.flags.writeable = False
-        xy.flags.writeable = False
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "xy", xy)
+        _freeze_track(self, "ground track", "xy", 2)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
@@ -165,14 +157,9 @@ def tracking_error(track: GroundTrack, reference_xy: np.ndarray) -> tuple[float,
     return float(np.sqrt(np.mean(d**2))), float(np.max(d))
 
 
-def judge_success(metrics_or_error, threshold: float = 0.25) -> bool:
+def judge_success(final_goal_error_m: float, threshold: float = 0.25) -> bool:
     """A trial succeeds when the final goal error is under the threshold."""
-    err = (
-        metrics_or_error.final_goal_error_m
-        if isinstance(metrics_or_error, NavMetrics)
-        else float(metrics_or_error)
-    )
-    return err < threshold
+    return float(final_goal_error_m) < threshold
 
 
 def compute_metrics(

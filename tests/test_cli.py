@@ -64,6 +64,7 @@ def test_eval_writes_metrics(tmp_path, capsys):
     assert m.final_goal_error_m < 1e-3
     assert "final_goal_error_m" in stdout
     assert "success 1" in stdout
+    assert stdout.encode() == (out / "metrics.txt").read_bytes()
 
 
 def test_eval_with_noise_overrides(tmp_path, capsys):
@@ -242,6 +243,33 @@ def test_exit_code_bad_override(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus.key" in err
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("eval", "camera.fx=-5"),
+        ("eval", "robot.width=0"),
+        ("eval", "filter.accel_sigma=0"),
+        ("eval", "filter.meas_sigma=-1"),
+        ("eval", "sim.dropout=1.5"),
+        ("eval", "sim.pixel_sigma=-1"),
+        ("extract", "frame_rate=0"),
+    ],
+)
+def test_exit_code_out_of_range_config(tmp_path, capsys, command, setting):
+    if command == "eval":
+        argv = ["eval", "--scenario", "ugv_red"]
+    else:
+        dets = tmp_path / "det.txt"
+        dets.write_text("0 0.0 320.0 240.0 40.0 30.0\n")
+        poses = tmp_path / "poses.txt"
+        poses.write_text("0.0 0 0 0 0 0 0 1\n")
+        argv = ["extract", "--detections", str(dets), "--poses", str(poses)]
+    argv += ["--out-dir", str(tmp_path / "out"), "--set", setting]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert setting.split("=")[0] in err
 
 
 def test_help_lists_config_keys():
