@@ -27,48 +27,14 @@ from .geometry import CAMERA, WORLD, RigidTransform, Rotation, invert, project_p
 from .io import (
     CameraPoseRecord,
     DetectionRecord,
-    FrameObservation,
+    NoiseSpec,
     PipelineConfig,
+    associate,
     default_config,
 )
 from .pipeline import ExtractionResult, extract_trajectory
 from .pnp import BoundingBox
 from .trajectory import GroundTrack, NavMetrics, compute_metrics, path_length
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Observation noise levels; all zero means a perfect sensor stack."""
-
-    pixel_sigma: float = 0.0
-    dropout: float = 0.0
-    pose_sigma_t: float = 0.0
-    pose_sigma_r: float = 0.0
-
-    def __post_init__(self):
-        if min(self.pixel_sigma, self.dropout, self.pose_sigma_t, self.pose_sigma_r) < 0.0:
-            raise ValueError("noise levels must be non-negative")
-        if self.dropout >= 1.0:
-            raise ValueError("dropout must be below 1")
-
-    @staticmethod
-    def zero() -> "NoiseSpec":
-        return NoiseSpec()
-
-    @staticmethod
-    def calibrated() -> "NoiseSpec":
-        """Noise levels representative of a real detector and pose source."""
-        return NoiseSpec(pixel_sigma=1.0, dropout=0.05, pose_sigma_t=0.01, pose_sigma_r=0.005)
-
-    def suggested_meas_sigma(self) -> float:
-        """Filter measurement noise consistent with these levels.
-
-        One pixel of corner jitter moves the recovered position by a few
-        centimeters at the scene's working depths, dominated by the
-        depth-from-width term. The floor keeps the filter well posed on
-        noise-free data.
-        """
-        return max(1e-6, 0.08 * self.pixel_sigma)
 
 
 @dataclass(frozen=True)
@@ -484,16 +450,7 @@ def run_pipeline(
         config = PipelineConfig(values)
 
     scene = simulate(scenario, noise, seed, config)
-    observations = [
-        FrameObservation(
-            frame_index=rec.frame_index,
-            timestamp=rec.timestamp,
-            bbox=rec.bbox,
-            camera_pose=pose.pose,
-            confidence=rec.confidence,
-        )
-        for rec, pose in zip(scene.frames, scene.poses)
-    ]
+    observations = associate(scene.frames, scene.poses, config.association_tolerance())
     extraction = extract_trajectory(observations, config)
     metrics = compute_metrics(
         extraction.ground_track,

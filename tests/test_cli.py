@@ -272,6 +272,31 @@ def test_exit_code_out_of_range_config(tmp_path, capsys, command, setting):
     assert setting.split("=")[0] in err
 
 
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("plot-csv", b"0.0 1 2\n0.0 1 3\n", "times must strictly increase"),
+        ("plot-csv", b"0.0 1 2 3\n0.0 1 3 3\n", "times must strictly increase"),
+        ("extract", b"\xff\xfe0 0.0 missing\n", "utf-8"),
+        ("eval", b"\xff\xfecamera.fx = 500\n", "utf-8"),
+    ],
+    ids=["track-time-repeats", "trajectory-time-repeats", "detections-not-utf8", "config-not-utf8"],
+)
+def test_exit_code_bad_file(tmp_path, capsys, command, content, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    out = str(tmp_path / "out")
+    argv = {
+        "plot-csv": ["plot-csv", "--in", str(bad), "--out", str(tmp_path / "x.csv")],
+        "extract": ["extract", "--detections", str(bad), "--poses", str(bad), "--out-dir", out],
+        "eval": ["eval", "--scenario", "ugv_red", "--config", str(bad), "--out-dir", out],
+    }[command]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert str(bad) in err
+    assert message in err
+
+
 def test_help_lists_config_keys():
     text = build_parser().format_help()
     assert "camera.fx" in text

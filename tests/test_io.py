@@ -285,6 +285,8 @@ def test_read_config_rejects_bad_input():
         read_config(io.StringIO("camera.fx = fast\n"))
     with pytest.raises(ParseError):
         read_config(io.StringIO("camera.fx\n"))
+    with pytest.raises(ParseError, match=r":2: bad value '-2' for robot\.height"):
+        read_config(io.StringIO("camera.fx = 600\nrobot.height = -2\n"))
 
 
 def test_config_overrides():
@@ -295,6 +297,8 @@ def test_config_overrides():
         default_config().with_overrides(["camera.fx"])
     with pytest.raises(ParseError):
         default_config().with_overrides(["bogus=1"])
+    with pytest.raises(ParseError, match=r"sim\.dropout"):
+        default_config().with_overrides(["sim.dropout=1.5"])
 
 
 def test_config_keys_cover_every_default():
@@ -335,6 +339,18 @@ def test_associate_handles_constant_clock_offset():
     ]
     obs = associate(dets, poses, max_dt=0.5 / rate)
     assert [o.frame_index for o in obs] == list(range(10))
+
+
+def test_associate_skips_poses_of_a_denser_stream():
+    # poses at 60 Hz, each stamped with its time as x; detections at 30 Hz
+    dets = [DetectionRecord(k, k / 30.0, BoundingBox(320, 240, 10, 10)) for k in range(10)]
+    poses = [
+        CameraPoseRecord(k / 60.0, RigidTransform(Rotation.identity(), np.array([k / 60.0, 0, 0])))
+        for k in range(20)
+    ]
+    obs = associate(dets, poses, max_dt=0.5 / 30.0)
+    assert [o.frame_index for o in obs] == list(range(10))
+    assert [o.camera_pose.translation[0] for o in obs] == [d.timestamp for d in dets]
 
 
 def test_single_sample_trajectory_writes_one_line(tmp_path):

@@ -63,6 +63,17 @@ def test_extract_tolerates_missing_frames():
     assert sum(1 for s in out.samples if s.position is None) == 0
 
 
+def test_extract_bridges_frame_whose_solve_fails():
+    cfg = default_config()
+    obs = [make_obs(k, k / 30.0, box_for_depth(2.0, cfg)) for k in range(30)]
+    obs[10] = make_obs(10, 10 / 30.0, BoundingBox(320.0, 240.0, 1e-300, 1e-300))
+    out = extract_trajectory(obs, cfg)
+    assert out.frames_detected == 30
+    assert out.frames_solved == 29
+    assert len(out.trajectory) == 30
+    assert out.samples[10].from_measurement is False
+
+
 def test_extract_drops_frames_before_first_detection():
     cfg = default_config()
     obs = [make_obs(0, 0.0, None), make_obs(1, 0.1, None)]
