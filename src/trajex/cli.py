@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tio
-from .errors import GeometryError, InputError, ParseError, PipelineError
+from .errors import GeometryError, InputError, PipelineError
 from .pipeline import extract_trajectory
 from .synth import builtin_scenarios, get_scenario, run_pipeline, simulate
 
@@ -160,15 +160,14 @@ def _cmd_batch(args) -> int:
 
 
 def _read_track_any(path) -> tuple[np.ndarray, np.ndarray]:
-    """Accept either a trajectory (t x y z) or a ground track (t x y)."""
-    try:
-        traj = tio.read_trajectory(path)
-        return traj.times, traj.positions
-    except ParseError as e:
-        if e.line is None:  # a fault of the whole file, not of a row's width
-            raise
+    """Accept a trajectory (t x y z), or a ground track (t x y) when the
+    first data row has 3 fields."""
+    first = next(tio._iter_lines(path), None)
+    if first is not None and len(first[2].split()) == 3:
         track = tio.read_ground_track(path)
         return track.times, track.xy
+    traj = tio.read_trajectory(path)
+    return traj.times, traj.positions
 
 
 def _cmd_plot_csv(args) -> int:

@@ -323,6 +323,6 @@ def project_points(intrinsics: CameraIntrinsics, pts_cam: np.ndarray) -> np.ndar
     if np.any(z <= _MIN_DEPTH):
         bad = int(np.argmax(z <= _MIN_DEPTH))
         raise PointBehindCamera(f"point {bad} has depth {z[bad]:.3g}")
-    u = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
-    return np.column_stack([u, v])
+    f = np.array([intrinsics.fx, intrinsics.fy])
+    c = np.array([intrinsics.cx, intrinsics.cy])
+    return f * pts[:, :2] / z[:, None] + c

@@ -20,6 +20,7 @@ by prediction alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,8 +130,13 @@ class FilteredSample:
     from_measurement: bool
 
 
+@functools.lru_cache(maxsize=64)
 def transition(dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (F, unit Q) for a step of length dt; scale Q by accel_sigma^2."""
+    """Return (F, unit Q) for a step of length dt; scale Q by accel_sigma^2.
+
+    A frame stream has only a few distinct steps, so the pair is cached
+    per dt and returned read-only.
+    """
     i3 = np.eye(3)
     f = np.block([[i3, dt * i3], [np.zeros((3, 3)), i3]])
     q = np.block(
@@ -139,6 +145,8 @@ def transition(dt: float) -> tuple[np.ndarray, np.ndarray]:
             [dt**3 / 2.0 * i3, dt**2 * i3],
         ]
     )
+    f.flags.writeable = False
+    q.flags.writeable = False
     return f, q
 
 

@@ -36,8 +36,11 @@ from .geometry import (
     _orthonormalize,
     _rodrigues,
     project_points,
-    skew,
 )
+
+# refine_pose stops once an accepted step lowers the cost by at most this
+# fraction of it (MINPACK's relative-reduction test)
+_FTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -127,13 +130,13 @@ def _homography_dlt(model_xy: np.ndarray, norm_xy: np.ndarray) -> np.ndarray:
     correspondences do not pin down a unique homography.
     """
     n = model_xy.shape[0]
-    rows = []
-    for i in range(n):
-        x, y = model_xy[i]
-        p, q = norm_xy[i]
-        rows.append([x, y, 1.0, 0.0, 0.0, 0.0, -p * x, -p * y, -p])
-        rows.append([0.0, 0.0, 0.0, x, y, 1.0, -q * x, -q * y, -q])
-    a = np.array(rows)
+    hom = np.column_stack([model_xy, np.ones(n)])
+    # two rows per point: [x y 1 0 0 0 -p*(x y 1)] and [0 0 0 x y 1 -q*(x y 1)]
+    a = np.zeros((n, 2, 9))
+    a[:, 0, :3] = hom
+    a[:, 1, 3:6] = hom
+    a[:, :, 6:] = -norm_xy[:, :, None] * hom[:, None, :]
+    a = a.reshape(2 * n, 9)
     _, s, vt = np.linalg.svd(a)
     # a unique solution needs a 1-dimensional nullspace
     if s[0] <= 0.0 or s[-2] / s[0] < 1e-9:
@@ -148,13 +151,13 @@ def _homography_dlt(model_xy: np.ndarray, norm_xy: np.ndarray) -> np.ndarray:
     return h / h[2, 2]
 
 
-def _rotate_z_to(w: np.ndarray) -> Rotation:
+def _rotate_z_to(w: np.ndarray) -> np.ndarray:
     """Smallest rotation taking the +z axis onto unit vector w, w[2] > 0."""
     axis = np.array([-w[1], w[0], 0.0])
     s = np.linalg.norm(axis)
     if s < 1e-12:
-        return Rotation.identity()
-    return Rotation.from_axis_angle(axis, float(np.arctan2(s, w[2])))
+        return np.eye(3)
+    return _rodrigues(axis, float(np.arctan2(s, w[2])))
 
 
 def _translation_for(rotation: Rotation, model_pts: np.ndarray, norm_xy: np.ndarray) -> np.ndarray:
@@ -164,14 +167,13 @@ def _translation_for(rotation: Rotation, model_pts: np.ndarray, norm_xy: np.ndar
     """
     rp = model_pts @ rotation.matrix.T
     n = model_pts.shape[0]
-    a = np.zeros((2 * n, 3))
-    rhs = np.zeros(2 * n)
-    for i in range(n):
-        ai, bi = norm_xy[i]
-        a[2 * i] = [1.0, 0.0, -ai]
-        a[2 * i + 1] = [0.0, 1.0, -bi]
-        rhs[2 * i] = -(rp[i, 0] - ai * rp[i, 2])
-        rhs[2 * i + 1] = -(rp[i, 1] - bi * rp[i, 2])
+    # two rows per point: [1 0 -a] and [0 1 -b]
+    a = np.zeros((n, 2, 3))
+    a[:, 0, 0] = 1.0
+    a[:, 1, 1] = 1.0
+    a[:, :, 2] = -norm_xy
+    a = a.reshape(2 * n, 3)
+    rhs = -(rp[:, :2] - norm_xy * rp[:, 2:]).ravel()
     t, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     return t
 
@@ -197,12 +199,8 @@ def solve_ippe(
         raise ValueError("image points must be finite")
 
     model_pts = model.corners()
-    k_inv_applied = np.column_stack(
-        [
-            (image_points[:, 0] - intrinsics.cx) / intrinsics.fx,
-            (image_points[:, 1] - intrinsics.cy) / intrinsics.fy,
-        ]
-    )
+    centre = np.array([intrinsics.cx, intrinsics.cy])
+    k_inv_applied = (image_points - centre) / np.array([intrinsics.fx, intrinsics.fy])
     h = _homography_dlt(model_pts[:, :2], k_inv_applied)
 
     # image of the model origin, and the homography Jacobian there
@@ -220,7 +218,7 @@ def solve_ippe(
     rv = _rotate_z_to(w)
 
     a_proj = np.array([[1.0, 0.0, -v[0]], [0.0, 1.0, -v[1]]])
-    b = a_proj @ rv.matrix
+    b = a_proj @ rv
     b2 = b[:, :2]
     det_b2 = b2[0, 0] * b2[1, 1] - b2[0, 1] * b2[1, 0]
     if abs(det_b2) < 1e-12:
@@ -241,9 +239,10 @@ def solve_ippe(
     candidates = []
     for sign in (1.0, -1.0):
         top = np.column_stack([m22, sign * col])
-        bottom = np.cross(top[0], top[1])
+        (a0, a1, a2), (b0, b1, b2) = top.tolist()
+        bottom = [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]  # top[0] x top[1]
         q = _orthonormalize(np.vstack([top, bottom]))
-        candidates.append(Rotation(rv.matrix @ q))
+        candidates.append(Rotation(rv @ q))
         if lam == 0.0:
             break  # frontoparallel: both signs give the same rotation
 
@@ -284,24 +283,25 @@ def _jacobian_m(
     model_pts: np.ndarray,
     intrinsics: CameraIntrinsics,
 ) -> np.ndarray:
-    n = model_pts.shape[0]
-    jac = np.zeros((2 * n, 6))
-    for i in range(n):
-        rp = rot_m @ model_pts[i]
-        x, y, z = rp + t
-        if z <= _MIN_DEPTH:
-            raise PointBehindCamera(f"point {i} has depth {z:.3g}")
-        dpi = np.array(
-            [
-                [intrinsics.fx / z, 0.0, -intrinsics.fx * x / z**2],
-                [0.0, intrinsics.fy / z, -intrinsics.fy * y / z**2],
-            ]
-        )
-        # residual = obs - proj, X = exp([w]x) R p + t + dt
-        # dX/dw = -[Rp]x, dX/dt = I, so dres/dw = dpi @ [Rp]x, dres/ddt = -dpi
-        jac[2 * i : 2 * i + 2, :3] = dpi @ skew(rp)
-        jac[2 * i : 2 * i + 2, 3:] = -dpi
-    return jac
+    rp = model_pts @ rot_m.T
+    x, y, z = (rp + t).T
+    if np.any(z <= _MIN_DEPTH):
+        i = int(np.argmax(z <= _MIN_DEPTH))
+        raise PointBehindCamera(f"point {i} has depth {z[i]:.3g}")
+    # projection Jacobian per point: dpi = [[a, 0, c], [0, b, d]]
+    a, b = intrinsics.fx / z, intrinsics.fy / z
+    c, d = -a * x / z, -b * y / z
+    # residual = obs - proj, X = exp([w]x) R p + t + dt
+    # dX/dw = -[Rp]x, dX/dt = I, so dres/dw = dpi @ [Rp]x, dres/ddt = -dpi
+    px, py, pz = rp.T
+    zero = np.zeros_like(z)
+    jac = np.array(
+        [
+            [-c * py, c * px - a * pz, a * py, -a, zero, -c],
+            [b * pz - d * py, d * px, -b * px, zero, -b, -d],
+        ]
+    )
+    return jac.transpose(2, 0, 1).reshape(-1, 6)
 
 
 def reprojection_residual(
@@ -350,11 +350,14 @@ def refine_pose(
 ) -> PnpSolution:
     """Levenberg-Marquardt polish of a closed-form pose candidate.
 
-    Minimizes pixel reprojection error over the 6 pose parameters.
-    Returns the improved solution; falls back to the input when the
-    gradient is already flat at the start. Raises DivergedRefinement if
-    no damping value yields an accepted step while the gradient says a
-    better pose should exist nearby.
+    Minimizes pixel reprojection error over the 6 pose parameters and
+    returns the improved solution. It stops when the gradient is flat,
+    when an accepted step lowers the cost by at most 1e-10 of it, or
+    when no damping value lowers the cost any more. Raises
+    DivergedRefinement if no step was ever accepted although the
+    Gauss-Newton model predicts a gain of more than 1e-10 of the cost:
+    the model promised a better pose that no step delivered. Otherwise
+    a pose that no step improves is returned as converged.
     """
     image_points = np.asarray(image_points, dtype=float)
     model_pts = model.corners()
@@ -368,16 +371,17 @@ def refine_pose(
     cost, res = cost_of(rot_m, t)
     lam = 1e-3
     accepted_any = False
+    eye = np.eye(6)
     for _ in range(max_iters):
         jac = _jacobian_m(rot_m, t, model_pts, intrinsics)
         grad = jac.T @ res
         if np.max(np.abs(grad)) < 1e-10:
             break
         jtj = jac.T @ jac
-        stepped = False
+        gain = None
         while lam <= 1e10:
             try:
-                delta = np.linalg.solve(jtj + lam * np.eye(6), -grad)
+                delta = np.linalg.solve(jtj + lam * eye, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -389,15 +393,21 @@ def refine_pose(
                 lam *= 10.0
                 continue
             if cost_try < cost:
+                gain = (cost - cost_try) / cost  # relative decrease
                 rot_m, t, cost, res = rot_try, t_try, cost_try, res_try
                 lam = max(lam / 10.0, 1e-12)
-                stepped = True
-                accepted_any = True
                 break
             lam *= 10.0
-        if not stepped:
-            if not accepted_any and np.max(np.abs(grad)) >= 1e-8:
-                raise DivergedRefinement("no damping value produced an acceptable step")
+        if gain is None:
+            if not accepted_any:
+                # Gauss-Newton decrease 0.5 g'(J'J)^+ g, as 0.5 |J J^+ r|^2
+                step = np.linalg.lstsq(jac, res, rcond=None)[0]
+                fit = jac @ step
+                if 0.5 * float(fit @ fit) > _FTOL * cost:
+                    raise DivergedRefinement("no damping value produced an acceptable step")
+            break
+        accepted_any = True
+        if gain <= _FTOL:
             break
 
     return PnpSolution(Rotation(_orthonormalize(rot_m)), t, _rmse(res))

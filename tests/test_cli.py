@@ -277,10 +277,17 @@ def test_exit_code_out_of_range_config(tmp_path, capsys, command, setting):
     [
         ("plot-csv", b"0.0 1 2\n0.0 1 3\n", "times must strictly increase"),
         ("plot-csv", b"0.0 1 2 3\n0.0 1 3 3\n", "times must strictly increase"),
+        ("plot-csv", b"0.0 1 2 3\n0.1 1 x 3\n", ":2: bad trajectory field 'x'"),
         ("extract", b"\xff\xfe0 0.0 missing\n", "utf-8"),
         ("eval", b"\xff\xfecamera.fx = 500\n", "utf-8"),
     ],
-    ids=["track-time-repeats", "trajectory-time-repeats", "detections-not-utf8", "config-not-utf8"],
+    ids=[
+        "track-time-repeats",
+        "trajectory-time-repeats",
+        "trajectory-bad-field-row-2",
+        "detections-not-utf8",
+        "config-not-utf8",
+    ],
 )
 def test_exit_code_bad_file(tmp_path, capsys, command, content, message):
     bad = tmp_path / "bad.txt"

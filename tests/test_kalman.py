@@ -43,6 +43,16 @@ def test_transition_oracle():
     np.testing.assert_allclose(q, q.T)
 
 
+def test_transition_is_cached_and_read_only():
+    f, q = transition(0.25)
+    assert not f.flags.writeable and not q.flags.writeable
+    with pytest.raises(ValueError):
+        f[0, 3] = 1.0
+    f2, q2 = transition(0.25)
+    np.testing.assert_array_equal(f2, f)
+    np.testing.assert_array_equal(q2, q)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         FilterState(0.0, np.zeros(5), np.eye(6))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from trajex.errors import DegenerateConfiguration
-from trajex.geometry import CAMERA, CameraIntrinsics, Rotation, project_points
+from trajex import NoiseSpec, pnp, run_pipeline
+from trajex.errors import DegenerateConfiguration, PointBehindCamera
+from trajex.geometry import CAMERA, CameraIntrinsics, Rotation, project_points, skew
 from trajex.pnp import (
     BoundingBox,
     PnpSolution,
@@ -167,6 +168,26 @@ def test_jacobian_matches_finite_differences():
         assert np.abs(jac - fd).max() / scale < 1e-4
 
 
+def test_jacobian_matches_per_point_formula():
+    # reference: the 2x6 block of each point built on its own
+    rng = np.random.default_rng(22)
+    model_pts = MODEL.corners()
+    for _ in range(20):
+        rot, t = random_pose(rng)
+        ref = []
+        for p in model_pts:
+            rp = rot.matrix @ p
+            x, y, z = rp + t
+            dpi = np.array([[K.fx / z, 0.0, -K.fx * x / z**2], [0.0, K.fy / z, -K.fy * y / z**2]])
+            ref.append(np.hstack([dpi @ skew(rp), -dpi]))
+        jac = reprojection_jacobian(rot, t, model_pts, K)
+        np.testing.assert_allclose(jac, np.vstack(ref), rtol=1e-12, atol=1e-12 * np.abs(jac).max())
+    # tilted 69 degrees at 0.1 m depth: corners 2 and 3 fall behind the camera
+    tilted = Rotation.from_axis_angle(np.array([1.0, 0.0, 0.0]), -1.2)
+    with pytest.raises(PointBehindCamera, match="point 2 "):
+        reprojection_jacobian(tilted, np.array([0.0, 0.0, 0.1]), model_pts, K)
+
+
 def test_refine_recovers_from_perturbation():
     rng = np.random.default_rng(31)
     for _ in range(30):
@@ -213,6 +234,45 @@ def test_refine_is_fixed_point_at_exact_solution():
     ref = refine_pose(exact, img, MODEL, K)
     np.testing.assert_allclose(ref.translation, exact.translation, atol=1e-9)
     assert ref.rotation.angle_to(exact.rotation) < 1e-7
+
+
+def test_refining_a_refined_pose_keeps_it():
+    # at a converged pose the gradient sits at its rounding floor; a second
+    # polish must return the pose (to the 1e-10 relative cost stop), not
+    # raise DivergedRefinement
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        rot, t = random_pose(rng)
+        img = project_corners(rot, t) + rng.normal(scale=1.0, size=(4, 2))
+        once = refine_pose(solve_ippe(img, MODEL, K)[0], img, MODEL, K)
+        twice = refine_pose(once, img, MODEL, K)
+        assert np.linalg.norm(twice.translation - once.translation) < 1e-5
+        assert twice.rmse**2 >= once.rmse**2 * (1.0 - 1e-10)
+
+
+def test_refine_work_per_frame(monkeypatch):
+    # pins the work of the polish, not its time: the median call over the
+    # detected frames of one calibrated trial evaluates the residual at
+    # most 8 times
+    calls, per_refine = [0], []
+    residual, refine = pnp._residual_m, pnp.refine_pose
+
+    def counting_residual(*args):
+        calls[0] += 1
+        return residual(*args)
+
+    def counting_refine(*args, **kwargs):
+        before = calls[0]
+        try:
+            return refine(*args, **kwargs)
+        finally:
+            per_refine.append(calls[0] - before)
+
+    monkeypatch.setattr(pnp, "_residual_m", counting_residual)
+    monkeypatch.setattr(pnp, "refine_pose", counting_refine)
+    result = run_pipeline("ugv_red", NoiseSpec.calibrated(), 0)
+    assert len(per_refine) == result.extraction.frames_detected
+    assert np.median(per_refine) <= 8
 
 
 def test_shifted_box_moves_estimate_sideways():
