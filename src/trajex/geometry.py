@@ -68,9 +68,10 @@ class Rotation:
     def from_axis_angle(axis: np.ndarray, angle: float) -> "Rotation":
         """Rodrigues formula; axis need not be unit length."""
         axis = np.asarray(axis, dtype=float)
-        if np.linalg.norm(axis) == 0.0:
+        n = np.linalg.norm(axis)
+        if n == 0.0:
             raise ValueError("rotation axis must be nonzero")
-        return Rotation(_rodrigues(axis, angle))
+        return Rotation(_rodrigues(axis * (angle / n)))
 
     @staticmethod
     def from_rotvec(rotvec: np.ndarray) -> "Rotation":
@@ -155,28 +156,28 @@ class Rotation:
         return float(np.arccos(np.clip(c, -1.0, 1.0)))
 
 
-def _rodrigues(axis: np.ndarray, angle: float | None = None) -> np.ndarray:
-    """Rotation by angle about axis (any nonzero length), as a plain matrix.
+_SKEW = np.array([skew(e) for e in np.eye(3)]).reshape(3, 9)  # w @ _SKEW is skew(w), flattened
 
-    With angle None, axis is a rotation vector and its norm is the angle.
-    No checks: the pose refinement calls this on its hot path.
+
+def _rodrigues(w: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of rotation vectors (..., 3), unchecked.
+
+    The pose refinement calls this on its hot path, on stacks. Below
+    1e-12 rad the second-order series keeps it exact enough.
     """
-    k = skew(axis)
-    n = np.linalg.norm(axis)
-    if angle is None:
-        angle = n
-        if angle < 1e-12:
-            # second-order series keeps this exact enough near zero
-            return np.eye(3) + k + 0.5 * (k @ k)
-    k /= n
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    th = np.sqrt((w * w).sum(axis=-1))[..., None, None]
+    small = th < 1e-12
+    th = np.where(small, 1.0, th)
+    k = (w @ _SKEW).reshape(*w.shape, 3)
+    s, c = np.where(small, 1.0, np.sin(th) / th), np.where(small, 0.5, (1.0 - np.cos(th)) / th**2)
+    return np.eye(3) + s * k + c * (k @ k)
 
 
 def _orthonormalize(m: np.ndarray) -> np.ndarray:
-    # nearest rotation in the Frobenius sense, reflection-safe
+    # nearest rotation in the Frobenius sense, reflection-safe; m may be a stack (..., 3, 3)
     u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 @dataclass(frozen=True)

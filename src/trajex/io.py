@@ -262,19 +262,22 @@ def adapt_poses(
     """
     remap = _axes_rotation(axes)
     out = []
-    for r in records:
-        pose = RigidTransform(
-            r.pose.rotation, r.pose.translation * scale, r.pose.frame_from, r.pose.frame_to
-        )
-        if invert:
-            pose = _invert(pose)
-        pose = RigidTransform(
-            remap @ pose.rotation,
-            remap.apply(pose.translation),
-            frame_from=CAMERA,
-            frame_to=WORLD,
-        )
-        out.append(CameraPoseRecord(r.timestamp, pose))
+    with np.errstate(over="ignore"):  # a pose that overflows fails its own check
+        for r in records:
+            try:
+                t = r.pose.translation * scale
+                pose = RigidTransform(r.pose.rotation, t, r.pose.frame_from, r.pose.frame_to)
+                if invert:
+                    pose = _invert(pose)
+            except ValueError as e:
+                raise ParseError(f"pose at time {r.timestamp!r} scaled by {scale!r}: {e}") from None
+            pose = RigidTransform(
+                remap @ pose.rotation,
+                remap.apply(pose.translation),
+                frame_from=CAMERA,
+                frame_to=WORLD,
+            )
+            out.append(CameraPoseRecord(r.timestamp, pose))
     return out
 
 

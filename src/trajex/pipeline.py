@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptySequence, GeometryError, PipelineError
-from .geometry import RigidTransform
+from .errors import EmptySequence, PipelineError
 from .io import FrameObservation, PipelineConfig
 from .kalman import FilteredSample, Measurement, run_filter
-from .pnp import estimate_robot_position
+from .pnp import _positions
 from .trajectory import GroundTrack, Trajectory, build_trajectory, project_ground
+
+
+_CHUNK = 512  # frames per stacked pose solve
 
 
 @dataclass(frozen=True)
@@ -48,21 +50,15 @@ def extract_trajectory(
     model = config.robot()
     refine = bool(config["pnp.refine"])
 
-    measurements: list[Measurement] = []
-    poses: list[RigidTransform] = []
-    n_detected = 0
-    n_solved = 0
-    for obs in observations:
-        z = None
-        if obs.bbox is not None:
-            n_detected += 1
-            try:
-                z = estimate_robot_position(obs.bbox, model, intrinsics, refine=refine).xyz
-                n_solved += 1
-            except GeometryError:
-                z = None  # unusable frame, bridge it like a dropout
-        measurements.append(Measurement(obs.timestamp, z))
-        poses.append(obs.camera_pose)
+    # all detected frames go through one stacked pose solve, in chunks that
+    # bound its memory; a frame it cannot solve is bridged like a dropout
+    boxes = [obs.bbox for obs in observations if obs.bbox is not None]
+    starts = range(0, len(boxes), _CHUNK)
+    found = (z for i in starts for z in _positions(boxes[i : i + _CHUNK], model, intrinsics, refine))
+    measurements = [
+        Measurement(obs.timestamp, next(found) if obs.bbox is not None else None) for obs in observations
+    ]
+    poses = [obs.camera_pose for obs in observations]
 
     try:
         samples = run_filter(measurements, config.filter_params())
@@ -77,6 +73,6 @@ def extract_trajectory(
         measurements=measurements,
         samples=samples,
         frames_total=len(observations),
-        frames_detected=n_detected,
-        frames_solved=n_solved,
+        frames_detected=len(boxes),
+        frames_solved=sum(m.position is not None for m in measurements),
     )

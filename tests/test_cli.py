@@ -280,6 +280,7 @@ def test_exit_code_out_of_range_config(tmp_path, capsys, command, setting):
         ("plot-csv", b"0.0 1 2 3\n0.1 1 x 3\n", ":2: bad trajectory field 'x'"),
         ("extract", b"\xff\xfe0 0.0 missing\n", "utf-8"),
         ("eval", b"\xff\xfecamera.fx = 500\n", "utf-8"),
+        ("extract", b"21 0.7 1.7e308 244.527 1.7e308 46.54 1.0\n", ":1: bounding box corners must be finite"),
     ],
     ids=[
         "track-time-repeats",
@@ -287,6 +288,7 @@ def test_exit_code_out_of_range_config(tmp_path, capsys, command, setting):
         "trajectory-bad-field-row-2",
         "detections-not-utf8",
         "config-not-utf8",
+        "detection-corner-overflows",
     ],
 )
 def test_exit_code_bad_file(tmp_path, capsys, command, content, message):
@@ -302,6 +304,19 @@ def test_exit_code_bad_file(tmp_path, capsys, command, content, message):
     assert code == 2
     assert str(bad) in err
     assert message in err
+
+
+def test_exit_code_pose_overflows_under_scale(tmp_path, capsys):
+    # each field is finite, but x * pose.scale overflows
+    dets = tmp_path / "det.txt"
+    dets.write_text("0 0.0 320.0 240.0 40.0 30.0\n1 0.1 320.0 240.0 40.0 30.0\n")
+    poses = tmp_path / "poses.txt"
+    poses.write_text("0.0 0 0 0 0 0 0 1\n0.1 1e308 0 0 0 0 0 1\n")
+    argv = ["extract", "--detections", str(dets), "--poses", str(poses), "--out-dir", str(tmp_path / "out")]
+    code, _, err = run(argv + ["--set", "pose.scale=10"], capsys)
+    assert code == 2
+    assert "pose at time 0.1 scaled by 10.0: translation has non-finite components" in err
+    assert "Warning" not in err
 
 
 def test_help_lists_config_keys():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from trajex import NoiseSpec, pnp, run_pipeline
-from trajex.errors import DegenerateConfiguration, PointBehindCamera
-from trajex.geometry import CAMERA, CameraIntrinsics, Rotation, project_points, skew
+from trajex import FrameObservation, NoiseSpec, default_config, extract_trajectory, pnp, run_pipeline
+from trajex.errors import DegenerateConfiguration, DivergedRefinement, GeometryError, PointBehindCamera
+from trajex.geometry import CAMERA, CameraIntrinsics, RigidTransform, Rotation, project_points, skew
 from trajex.pnp import (
     BoundingBox,
     PnpSolution,
@@ -45,6 +45,9 @@ def test_bbox_validation():
         BoundingBox(320.0, 240.0, 100.0, -1.0)
     with pytest.raises(ValueError):
         BoundingBox(np.nan, 240.0, 100.0, 50.0)
+    # finite fields whose corner cx + w/2 overflows
+    with pytest.raises(ValueError, match="corners must be finite"):
+        BoundingBox(1.7e308, 244.527, 1.7e308, 46.54)
 
 
 def test_bbox_coerces_to_builtin_float():
@@ -169,19 +172,34 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_matches_per_point_formula():
-    # reference: the 2x6 block of each point built on its own
+    # reference: the 2x6 block of each point built on its own, for the
+    # per-frame Jacobian and for stacks of 1 and 5 poses
     rng = np.random.default_rng(22)
     model_pts = MODEL.corners()
-    for _ in range(20):
-        rot, t = random_pose(rng)
+
+    def reference(rot, t):
         ref = []
         for p in model_pts:
             rp = rot.matrix @ p
             x, y, z = rp + t
             dpi = np.array([[K.fx / z, 0.0, -K.fx * x / z**2], [0.0, K.fy / z, -K.fy * y / z**2]])
             ref.append(np.hstack([dpi @ skew(rp), -dpi]))
-        jac = reprojection_jacobian(rot, t, model_pts, K)
-        np.testing.assert_allclose(jac, np.vstack(ref), rtol=1e-12, atol=1e-12 * np.abs(jac).max())
+        return np.vstack(ref)
+
+    def close(jac, ref):
+        np.testing.assert_allclose(jac, ref, rtol=1e-12, atol=1e-12 * np.abs(jac).max())
+
+    for _ in range(20):
+        rot, t = random_pose(rng)
+        close(reprojection_jacobian(rot, t, model_pts, K), reference(rot, t))
+    for n in (1, 5):
+        poses = [random_pose(rng) for _ in range(n)]
+        rots = np.array([r.matrix for r, _ in poses])
+        ts = np.array([t for _, t in poses])
+        jac, depth = pnp._jacobians(rots, ts, model_pts, K)
+        assert jac.shape == (n, 8, 6) and depth.shape == (n, 4)
+        for k, (rot, t) in enumerate(poses):
+            close(jac[k], reference(rot, t))
     # tilted 69 degrees at 0.1 m depth: corners 2 and 3 fall behind the camera
     tilted = Rotation.from_axis_angle(np.array([1.0, 0.0, 0.0]), -1.2)
     with pytest.raises(PointBehindCamera, match="point 2 "):
@@ -251,28 +269,100 @@ def test_refining_a_refined_pose_keeps_it():
 
 
 def test_refine_work_per_frame(monkeypatch):
-    # pins the work of the polish, not its time: the median call over the
-    # detected frames of one calibrated trial evaluates the residual at
-    # most 8 times
+    # pins the work of the polish, not its time: over the detected frames of
+    # one calibrated trial, the median call evaluates the stacked residual at
+    # most 8 times, and at most 2 calls take 15 or more (a damping climb)
     calls, per_refine = [0], []
-    residual, refine = pnp._residual_m, pnp.refine_pose
+    residuals = pnp._residuals
 
-    def counting_residual(*args):
+    def counting_residuals(*args):
         calls[0] += 1
-        return residual(*args)
+        return residuals(*args)
 
-    def counting_refine(*args, **kwargs):
+    result = run_pipeline("ugv_red", NoiseSpec.calibrated(), 0)
+    config = default_config()
+    model, intrinsics = config.robot(), config.camera()
+    monkeypatch.setattr(pnp, "_residuals", counting_residuals)
+    for frame in result.scene.frames:
+        if frame.bbox is None:
+            continue
+        img = bbox_to_image_points(frame.bbox)
+        best = solve_ippe(img, model, intrinsics)[0]
         before = calls[0]
         try:
-            return refine(*args, **kwargs)
-        finally:
-            per_refine.append(calls[0] - before)
-
-    monkeypatch.setattr(pnp, "_residual_m", counting_residual)
-    monkeypatch.setattr(pnp, "refine_pose", counting_refine)
-    result = run_pipeline("ugv_red", NoiseSpec.calibrated(), 0)
+            refine_pose(best, img, model, intrinsics)
+        except DivergedRefinement:
+            pass
+        per_refine.append(calls[0] - before)
     assert len(per_refine) == result.extraction.frames_detected
     assert np.median(per_refine) <= 8
+    assert sum(c >= 15 for c in per_refine) <= 2
+
+
+def stack_boxes(rng):
+    """~1,100 boxes: noisy boxes of random poses, exact frontoparallel and
+    tilted faces, and boxes that no pose explains."""
+    config = default_config()
+    intrinsics, corners = config.camera(), config.robot().corners()
+    boxes = []
+    for k in range(1090):
+        rot, t = random_pose(rng)
+        if k % 10 == 0:
+            rot = Rotation.identity()  # frontoparallel: one candidate
+        if k % 10 == 1:
+            rot = Rotation.from_axis_angle([0.0, 1.0, 0.0], np.radians(35.0))
+        px = project_points(intrinsics, (rot.matrix @ corners.T).T + t)
+        lo, hi = px.min(axis=0), px.max(axis=0)
+        box = np.concatenate([(lo + hi) / 2.0, hi - lo])
+        if k % 10 > 1:
+            box += rng.normal(scale=1.0, size=4)
+        boxes.append(BoundingBox(*box[:2], *np.abs(box[2:])))
+    boxes[5] = BoundingBox(320.0, 240.0, 1e-300, 1e-300)  # coincident corners
+    boxes[6] = BoundingBox(320.0, 240.0, 1e-5, 1e5)  # collinear corners
+    boxes[7] = BoundingBox(1e6, 1e6, 1.0, 1.0)
+    boxes[8] = BoundingBox(320.0, 1e200, 10.0, 10.0)  # finite, but its square overflows
+    boxes[9] = BoundingBox(1e300, 1e300, 1e300, 1e300)
+    return boxes
+
+
+def test_stacked_solve_matches_per_frame_solve():
+    # extract_trajectory solves all detected frames as one stack, in chunks;
+    # each row must equal the per-frame solve of its box bit for bit
+    boxes = stack_boxes(np.random.default_rng(71))
+    config = default_config()
+    model, intrinsics = config.robot(), config.camera()
+    assert len(boxes) > 2 * 512
+    observations = [
+        FrameObservation(k, 0.1 * k, box, RigidTransform.identity()) for k, box in enumerate(boxes)
+    ]
+    result = extract_trajectory(observations, config)
+    _, _, _, codes = pnp._estimate(np.array([bbox_to_image_points(b) for b in boxes]), model, intrinsics)
+    failed = 0
+    for box, m, code in zip(boxes, result.measurements, codes):
+        try:
+            z = estimate_robot_position(box, model, intrinsics).xyz
+        except GeometryError as e:
+            assert m.position is None
+            assert type(e) is pnp._FAILS[code][0]
+            failed += 1
+            continue
+        assert m.position is not None and code == 0
+        assert m.position.tobytes() == z.tobytes()
+    assert result.frames_solved == len(boxes) - failed
+    assert 3 <= failed < 20
+
+
+def test_stack_rows_fail_alone():
+    # a singular matrix fails only its own row of a stacked solve, and a
+    # non-finite row never reaches LAPACK (an svd holding an inf may hang)
+    x, ok = pnp._solve(np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)]), np.ones((3, 2)))
+    assert ok.tolist() == [True, False, True]
+    np.testing.assert_array_equal(x[[0, 2]], [[1.0, 1.0], [0.5, 0.5]])
+    good = bbox_to_image_points(BoundingBox(320.0, 240.0, 100.0, 75.0))
+    img = np.stack([good, np.full((4, 2), np.inf), good])
+    _, t, _, code = pnp._estimate(img, MODEL, K)
+    assert code[1] != 0 and pnp._FAILS[code[1]][0] is DegenerateConfiguration
+    assert code[0] == code[2] == 0 and t[0].tobytes() == t[2].tobytes()
 
 
 def test_shifted_box_moves_estimate_sideways():
