@@ -56,7 +56,7 @@ from .io import (
     write_metrics,
     write_trajectory,
 )
-from .kalman import FilteredSample, FilterParams, FilterState, Measurement, predict, run_filter, update
+from .kalman import FilteredSample, FilterParams, Measurement, predict, run_filter, update
 from .pipeline import ExtractionResult, extract_trajectory
 from .pnp import (
     BoundingBox,

@@ -12,6 +12,12 @@ models are linear, so the filter is exact; no linearization happens
 anywhere. Updates use the Joseph form and covariances are symmetrized
 after every step to keep them well conditioned over long runs.
 
+The belief is the pair of arrays x (6,) and P (6, 6). run_filter checks
+every state it produces in stacks of up to 512: finite, P symmetric
+within 1e-9, and no eigenvalue of P below -1e-9 * max(1, largest). The
+bound is relative because a long step leaves P with entries so large
+(~1e20 after 1e5 s) that roundoff alone would break an absolute one.
+
 The filter initializes lazily at the first available measurement
 (velocity zero) rather than guessing a state beforehand. Frames before
 that point carry no estimate; dropped detections after it are bridged
@@ -34,7 +40,8 @@ from .errors import (
 from .geometry import CAMERA, Point3
 
 _SYM_TOL = 1e-9
-_PSD_TOL = -1e-9
+_PSD_TOL = 1e-9  # relative to max(1, largest eigenvalue)
+_BLOCK = 512  # states per stacked check in run_filter
 
 
 @dataclass(frozen=True)
@@ -63,41 +70,6 @@ class FilterParams:
     @property
     def pos_var(self) -> float:
         return self.meas_sigma**2 if self.init_pos_var is None else self.init_pos_var
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Gaussian belief (x, P) at a timestamp; P must stay symmetric PSD."""
-
-    timestamp: float
-    x: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        if x.shape != (6,):
-            raise ValueError(f"state must have 6 components, got {x.shape}")
-        if p.shape != (6, 6):
-            raise ValueError(f"covariance must be 6x6, got {p.shape}")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise ValueError("state and covariance must be finite")
-        if np.max(np.abs(p - p.T)) > _SYM_TOL:
-            raise ValueError("covariance is not symmetric")
-        if np.min(np.linalg.eigvalsh(p)) < _PSD_TOL:
-            raise ValueError("covariance is not positive semidefinite")
-        x.flags.writeable = False
-        p.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.x[:3]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.x[3:]
 
 
 @dataclass(frozen=True)
@@ -150,43 +122,50 @@ def transition(dt: float) -> tuple[np.ndarray, np.ndarray]:
     return f, q
 
 
-def init_state(meas: Measurement, params: FilterParams) -> FilterState:
-    """Seed the belief from a single position measurement, zero velocity."""
-    if meas.position is None:
-        raise ValueError("cannot initialize from a dropped frame")
-    x = np.concatenate([meas.position, np.zeros(3)])
+def init_state(z: np.ndarray, params: FilterParams) -> tuple[np.ndarray, np.ndarray]:
+    """Seed the belief (x, P) from a single position measurement, zero velocity."""
+    x = np.concatenate([z, np.zeros(3)])
     p = np.diag([params.pos_var] * 3 + [params.init_vel_var] * 3)
-    return FilterState(meas.timestamp, x, p)
+    return x, p
 
 
-def predict(state: FilterState, dt: float, params: FilterParams) -> FilterState:
-    """Propagate the belief forward by dt seconds."""
+def predict(x: np.ndarray, p: np.ndarray, dt: float, params: FilterParams) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate the belief (x, P) forward by dt seconds."""
     if not np.isfinite(dt) or dt <= 0.0:
         raise NonPositiveDt(f"prediction step must be positive, got {dt}")
     f, q = transition(dt)
-    x = f @ state.x
-    p = f @ state.p @ f.T + params.accel_sigma**2 * q
+    x = f @ x
+    p = f @ p @ f.T + params.accel_sigma**2 * q
     p = (p + p.T) / 2.0
-    return FilterState(state.timestamp + dt, x, p)
+    return x, p
 
 
-def update(state: FilterState, z: np.ndarray, params: FilterParams) -> FilterState:
-    """Condition the belief on a position measurement (Joseph-form update)."""
-    z = np.asarray(z, dtype=float)
-    h = np.hstack([np.eye(3), np.zeros((3, 3))])
+def update(x: np.ndarray, p: np.ndarray, z: np.ndarray, params: FilterParams) -> tuple[np.ndarray, np.ndarray]:
+    """Condition the belief (x, P) on a position measurement (Joseph-form update)."""
     r = params.meas_sigma**2 * np.eye(3)
-    s = h @ state.p @ h.T + r
+    s = p[:3, :3] + r  # H = [I 0] is applied as slices of P and x
     # s is 3x3 and should be comfortably PD; a huge condition number
     # means the covariance got corrupted upstream
     if np.linalg.cond(s) > 1e12:
         raise SingularInnovation("innovation covariance is numerically singular")
-    k = np.linalg.solve(s.T, (state.p @ h.T).T).T
-    innov = z - h @ state.x
-    x = state.x + k @ innov
-    ikh = np.eye(6) - k @ h
-    p = ikh @ state.p @ ikh.T + k @ r @ k.T
+    k = np.linalg.solve(s.T, p[:, :3].T).T
+    x = x + k @ (z - x[:3])
+    ikh = np.eye(6)
+    ikh[:, :3] -= k
+    p = ikh @ p @ ikh.T + k @ r @ k.T
     p = (p + p.T) / 2.0
-    return FilterState(state.timestamp, x, p)
+    return x, p
+
+
+def _check_states(x: np.ndarray, p: np.ndarray) -> None:
+    """Raise ValueError unless each x[i], p[i] is finite and p[i] is symmetric PSD."""
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+        raise ValueError("state and covariance must be finite")
+    if not np.all(np.abs(p - p.transpose(0, 2, 1)) <= _SYM_TOL):
+        raise ValueError("covariance is not symmetric")
+    eig = np.linalg.eigvalsh(p)
+    if np.any(eig[:, 0] < -_PSD_TOL * np.maximum(1.0, eig[:, -1])):
+        raise ValueError("covariance is not positive semidefinite")
 
 
 def run_filter(measurements, params: FilterParams | None = None) -> list[FilteredSample]:
@@ -196,7 +175,8 @@ def run_filter(measurements, params: FilterParams | None = None) -> list[Filtere
     frames (position None) are carried through by prediction once the
     filter has initialized, and yield samples with position None before
     that. Raises EmptySequence when no frame carries a position and
-    NonMonotonicTimestamps when time does not strictly increase.
+    NonMonotonicTimestamps when time does not strictly increase, and
+    ValueError when a state breaks the invariants above.
     """
     measurements = list(measurements)
     if params is None:
@@ -210,23 +190,37 @@ def run_filter(measurements, params: FilterParams | None = None) -> list[Filtere
             )
 
     samples: list[FilteredSample] = []
-    state: FilterState | None = None
-    for meas in measurements:
-        if state is None:
-            if meas.position is None:
-                samples.append(FilteredSample(meas.timestamp, None, None, False))
-                continue
-            state = init_state(meas, params)
-        else:
-            state = predict(state, meas.timestamp - state.timestamp, params)
-            if meas.position is not None:
-                state = update(state, meas.position, params)
-        samples.append(
-            FilteredSample(
-                timestamp=meas.timestamp,
-                position=Point3(state.position, frame=CAMERA),
-                velocity=state.velocity.copy(),
-                from_measurement=meas.position is not None,
+    xs, ps = np.empty((_BLOCK, 6)), np.empty((_BLOCK, 6, 6))
+    n = 0  # states in the buffer that are not checked yet
+    x = p = None
+    try:
+        for meas in measurements:
+            z = meas.position
+            if x is None:
+                if z is None:
+                    samples.append(FilteredSample(meas.timestamp, None, None, False))
+                    continue
+                x, p = init_state(z, params)
+            else:
+                x, p = predict(x, p, meas.timestamp - t, params)
+                if z is not None:
+                    xs[n], ps[n] = x, p
+                    n += 1
+                    x, p = update(x, p, z, params)
+            xs[n], ps[n] = x, p
+            n += 1
+            if n >= _BLOCK - 1:  # keep room for the next frame's two states
+                full, n = n, 0
+                _check_states(xs[:full], ps[:full])
+            t = meas.timestamp
+            samples.append(
+                FilteredSample(
+                    timestamp=meas.timestamp,
+                    position=Point3(x[:3], frame=CAMERA),
+                    velocity=x[3:].copy(),
+                    from_measurement=z is not None,
+                )
             )
-        )
+    finally:  # on an error too: a bad state is reported before what it broke later
+        _check_states(xs[:n], ps[:n])
     return samples

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySequence, LengthMismatch, TooFewPoints
-from .geometry import Point3, RigidTransform, transform_point
+from .geometry import Point3, RigidTransform, _check_frames, transform_point
 from .kalman import FilteredSample
+
+_PAIRS = 4096  # point-segment pairs per chunk in tracking_error
 
 
 def _freeze_track(track, what: str, field: str, dim: int):
@@ -96,17 +98,17 @@ def build_trajectory(
         raise LengthMismatch(
             f"{len(samples)} samples but {len(camera_poses)} camera poses"
         )
-    times = []
-    pts = []
-    for sample, pose in zip(samples, camera_poses):
-        if sample.position is None:
-            continue
-        p_w = to_world(sample.position, pose)
-        times.append(sample.timestamp)
-        pts.append(p_w.xyz)
-    if not times:
+    kept = [(s, pose) for s, pose in zip(samples, camera_poses) if s.position is not None]
+    if not kept:
         raise EmptySequence("no frame produced a position estimate")
-    return Trajectory(np.array(times), np.array(pts))
+    for s, pose in kept:
+        _check_frames(pose.frame_from, s.position.frame, "transform_point")
+    # to_world for every kept frame at once: R p + t
+    r = np.array([pose.rotation.matrix for _, pose in kept])
+    t = np.array([pose.translation for _, pose in kept])
+    p = np.array([s.position.xyz for s, _ in kept])
+    times = np.array([s.timestamp for s, _ in kept])
+    return Trajectory(times, (r @ p[:, :, None])[:, :, 0] + t)
 
 
 def project_ground(traj: Trajectory) -> GroundTrack:
@@ -130,16 +132,6 @@ def final_goal_error(track: GroundTrack, goal_xy: np.ndarray) -> float:
     return float(np.linalg.norm(track.xy[-1] - goal))
 
 
-def _point_to_segments(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Shortest distance from point p to any segment [a_i, b_i]."""
-    ab = b - a
-    denom = np.sum(ab**2, axis=1)
-    denom = np.where(denom > 0.0, denom, 1.0)  # degenerate segment -> endpoint
-    t = np.clip(np.sum((p - a) * ab, axis=1) / denom, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return float(np.min(np.linalg.norm(proj - p, axis=1)))
-
-
 def tracking_error(track: GroundTrack, reference_xy: np.ndarray) -> tuple[float, float]:
     """(rmse, max) of track-point distances to a reference polyline.
 
@@ -152,8 +144,17 @@ def tracking_error(track: GroundTrack, reference_xy: np.ndarray) -> tuple[float,
         raise ValueError(f"expected (N, 2) reference, got {ref.shape}")
     if ref.shape[0] < 2:
         raise TooFewPoints("reference polyline needs at least 2 points")
-    a, b = ref[:-1], ref[1:]
-    d = np.array([_point_to_segments(p, a, b) for p in track.xy])
+    a = ref[:-1]
+    ab = ref[1:] - a
+    denom = np.sum(ab**2, axis=1)
+    denom = np.where(denom > 0.0, denom, 1.0)  # degenerate segment -> endpoint
+    step = max(1, _PAIRS // len(a))  # points per chunk; one if its segments alone exceed _PAIRS
+    d = np.empty(len(track))
+    for i in range(0, len(track), step):
+        p = track.xy[i : i + step, None, :]
+        t = np.clip(np.sum((p - a) * ab, axis=2) / denom, 0.0, 1.0)
+        proj = a + t[:, :, None] * ab
+        d[i : i + step] = np.min(np.linalg.norm(proj - p, axis=2), axis=1)
     return float(np.sqrt(np.mean(d**2))), float(np.max(d))
 
 

@@ -115,15 +115,15 @@ def test_filter_invariants_and_improvement(checklist):
     """Covariance stays symmetric PSD over 10000 steps; smoothing helps."""
     params = FilterParams(accel_sigma=0.4, meas_sigma=0.05)
     rng = np.random.default_rng(11)
-    state = init_state(Measurement(0.0, np.zeros(3)), params)
+    x, p = init_state(np.zeros(3), params)
     worst_sym = 0.0
     worst_eig = np.inf
     for _ in range(10000):
-        state = predict(state, float(rng.uniform(0.01, 0.1)), params)
+        x, p = predict(x, p, float(rng.uniform(0.01, 0.1)), params)
         if rng.uniform() > 0.2:  # occasional dropouts
-            state = update(state, rng.normal(scale=0.5, size=3), params)
-        worst_sym = max(worst_sym, float(np.abs(state.p - state.p.T).max()))
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(state.p).min()))
+            x, p = update(x, p, rng.normal(scale=0.5, size=3), params)
+        worst_sym = max(worst_sym, float(np.abs(p - p.T).max()))
+        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(p).min()))
     invariants_ok = worst_sym <= 1e-6 and worst_eig >= -1e-6
 
     wins = 0
@@ -148,13 +148,12 @@ def test_filter_invariants_and_improvement(checklist):
     # dominated limits: near-zero measurement noise pins the posterior to
     # the measurement, near-infinite noise leaves the prior untouched
     base = FilterParams()
-    prior = predict(init_state(Measurement(0.0, np.array([1.0, 2.0, 3.0])), base), 0.1, base)
+    x_prior, p_prior = predict(*init_state(np.array([1.0, 2.0, 3.0]), base), 0.1, base)
     z = np.array([5.0, -1.0, 2.0])
-    meas_lim = float(
-        np.abs(update(prior, z, FilterParams(meas_sigma=1e-9)).position - z).max()
-    )
-    big = update(prior, z, FilterParams(meas_sigma=1e9))
-    prior_lim = float(np.linalg.norm(big.x - prior.x) / np.linalg.norm(prior.x))
+    x_small, _ = update(x_prior, p_prior, z, FilterParams(meas_sigma=1e-9))
+    meas_lim = float(np.abs(x_small[:3] - z).max())
+    x_big, _ = update(x_prior, p_prior, z, FilterParams(meas_sigma=1e9))
+    prior_lim = float(np.linalg.norm(x_big - x_prior) / np.linalg.norm(x_prior))
     limits_ok = meas_lim <= 1e-6 and prior_lim <= 1e-6
 
     ok = invariants_ok and limits_ok and wins >= 95

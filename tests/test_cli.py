@@ -452,3 +452,18 @@ def test_extract_override_changes_metrics_deterministically(tmp_path, capsys):
         outs[label] = (d / "ground_track.txt").read_bytes()
     assert outs["default_a"] == outs["default_b"]
     assert outs["slow"] != outs["default_a"]
+
+
+def test_extract_survives_long_time_step(tmp_path, capsys):
+    # two detections 1e5 s apart; the filter's covariance reaches ~1e20
+    dets = tmp_path / "det.txt"
+    dets.write_text("0 0.0 320 240 40 30\n1 1e5 320 240 40 30\n")
+    poses = tmp_path / "poses.txt"
+    poses.write_text("0 0 4.5 1.5 0 0 0 1\n1e5 0 4.5 1.5 0 0 0 1\n")
+    out = tmp_path / "out"
+    code, _, err = run(
+        ["extract", "--detections", str(dets), "--poses", str(poses), "--out-dir", str(out)],
+        capsys,
+    )
+    assert code == 0, err
+    assert len(read_trajectory(out / "trajectory.txt")) == 2

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from trajex.errors import EmptySequence, NonMonotonicTimestamps, NonPositiveDt
+from trajex import kalman
+from trajex.errors import (
+    EmptySequence,
+    NonMonotonicTimestamps,
+    NonPositiveDt,
+    SingularInnovation,
+)
 from trajex.kalman import (
     FilteredSample,
     FilterParams,
-    FilterState,
     Measurement,
     init_state,
     predict,
@@ -54,14 +59,37 @@ def test_transition_is_cached_and_read_only():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        FilterState(0.0, np.zeros(5), np.eye(6))
-    bad = np.eye(6)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        FilterState(0.0, np.zeros(6), bad)
-    with pytest.raises(ValueError):
-        FilterState(0.0, np.zeros(6), -np.eye(6))
+    # one bad state in a stack of good ones fails the whole stack
+    xs, ps = np.zeros((5, 6)), np.tile(np.eye(6), (5, 1, 1))
+    kalman._check_states(xs, ps)
+    kalman._check_states(xs[:0], ps[:0])
+    bad_x = xs.copy()
+    bad_x[3, 4] = np.inf
+    with pytest.raises(ValueError, match="state and covariance must be finite"):
+        kalman._check_states(bad_x, ps)
+    bad_p = ps.copy()
+    bad_p[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="state and covariance must be finite"):
+        kalman._check_states(xs, bad_p)
+    bad_p = ps.copy()
+    bad_p[1, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="covariance is not symmetric"):
+        kalman._check_states(xs, bad_p)
+    bad_p = ps.copy()
+    bad_p[4] = -np.eye(6)
+    with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
+        kalman._check_states(xs, bad_p)
+    # the eigenvalue bound is -1e-9 * max(1, largest eigenvalue)
+    bad_p[4] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.5e-9])
+    kalman._check_states(xs, bad_p)
+    bad_p[4, 5, 5] = -2e-9
+    with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
+        kalman._check_states(xs, bad_p)
+    bad_p[4] = np.diag([1e20, 1.0, 1.0, 1.0, 1.0, -1e10])
+    kalman._check_states(xs, bad_p)
+    bad_p[4, 5, 5] = -1e12
+    with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
+        kalman._check_states(xs, bad_p)
 
 
 def test_measurement_validation():
@@ -74,56 +102,61 @@ def test_measurement_validation():
 
 def test_init_state_seeds_from_measurement():
     params = FilterParams(meas_sigma=0.1)
-    s = init_state(Measurement(2.0, np.array([1.0, 2.0, 3.0])), params)
-    np.testing.assert_allclose(s.position, [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(s.velocity, 0.0)
-    np.testing.assert_allclose(np.diag(s.p)[:3], 0.01)
-    assert s.timestamp == 2.0
+    x, p = init_state(np.array([1.0, 2.0, 3.0]), params)
+    np.testing.assert_allclose(x[:3], [1.0, 2.0, 3.0])
+    np.testing.assert_allclose(x[3:], 0.0)
+    np.testing.assert_allclose(np.diag(p)[:3], 0.01)
+    np.testing.assert_allclose(np.diag(p)[3:], params.init_vel_var)
 
 
 def test_predict_requires_positive_dt():
     params = FilterParams()
-    s = init_state(Measurement(0.0, np.zeros(3)), params)
+    x, p = init_state(np.zeros(3), params)
     with pytest.raises(NonPositiveDt):
-        predict(s, 0.0, params)
+        predict(x, p, 0.0, params)
     with pytest.raises(NonPositiveDt):
-        predict(s, -0.1, params)
+        predict(x, p, -0.1, params)
 
 
 def test_predict_moves_state_and_grows_uncertainty():
     params = FilterParams()
-    s = init_state(Measurement(0.0, np.zeros(3)), params)
-    s = update(s, np.zeros(3), params)
-    x = np.array(s.x)
-    x.flags.writeable = True
+    x, p = init_state(np.zeros(3), params)
+    x, p = update(x, p, np.zeros(3), params)
     x[3:] = [1.0, 0.0, 0.0]
-    s = FilterState(s.timestamp, x, s.p)
-    out = predict(s, 0.5, params)
-    np.testing.assert_allclose(out.position, [0.5, 0.0, 0.0], atol=1e-12)
-    assert np.trace(out.p) > np.trace(s.p)
-    assert out.timestamp == pytest.approx(0.5)
+    x_out, p_out = predict(x, p, 0.5, params)
+    np.testing.assert_allclose(x_out[:3], [0.5, 0.0, 0.0], atol=1e-12)
+    assert np.trace(p_out) > np.trace(p)
 
 
 def test_update_pulls_toward_measurement():
     params = FilterParams(meas_sigma=0.05)
-    s = init_state(Measurement(0.0, np.zeros(3)), params)
-    s = predict(s, 0.1, params)
+    x, p = predict(*init_state(np.zeros(3), params), 0.1, params)
     z = np.array([0.3, 0.0, 0.0])
-    out = update(s, z, params)
-    assert 0.0 < out.position[0] < 0.3
+    x_out, p_out = update(x, p, z, params)
+    assert 0.0 < x_out[0] < 0.3
     # posterior is tighter than prior
-    assert np.trace(out.p[:3, :3]) < np.trace(s.p[:3, :3])
+    assert np.trace(p_out[:3, :3]) < np.trace(p[:3, :3])
+
+
+def test_update_rejects_singular_innovation():
+    # a prior with position block diag(1, 0, 0) and R = (1e-7)^2 I gives an
+    # innovation covariance with condition number ~1e14
+    params = FilterParams(meas_sigma=1e-7)
+    p = np.zeros((6, 6))
+    p[0, 0] = 1.0
+    with pytest.raises(SingularInnovation):
+        update(np.zeros(6), p, np.zeros(3), params)
 
 
 def test_update_keeps_covariance_symmetric():
     rng = np.random.default_rng(4)
     params = FilterParams()
-    s = init_state(Measurement(0.0, rng.normal(size=3)), params)
+    x, p = init_state(rng.normal(size=3), params)
     for k in range(200):
-        s = predict(s, 0.05, params)
-        s = update(s, rng.normal(size=3), params)
-        assert np.max(np.abs(s.p - s.p.T)) <= 1e-12
-        assert np.min(np.linalg.eigvalsh(s.p)) >= -1e-12
+        x, p = predict(x, p, 0.05, params)
+        x, p = update(x, p, rng.normal(size=3), params)
+        assert np.max(np.abs(p - p.T)) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(p)) >= -1e-12
 
 
 def test_run_filter_rejects_empty_and_all_missing():
@@ -206,18 +239,16 @@ def test_filter_beats_raw_measurements():
 
 
 def test_update_measurement_dominated_limit():
-    s = init_state(Measurement(0.0, np.array([1.0, 2.0, 3.0])), FilterParams())
-    s = predict(s, 0.1, FilterParams())
+    x, p = predict(*init_state(np.array([1.0, 2.0, 3.0]), FilterParams()), 0.1, FilterParams())
     z = np.array([5.0, -1.0, 2.0])
-    post = update(s, z, FilterParams(meas_sigma=1e-9))
-    np.testing.assert_allclose(post.position, z, atol=1e-6)
+    x_post, _ = update(x, p, z, FilterParams(meas_sigma=1e-9))
+    np.testing.assert_allclose(x_post[:3], z, atol=1e-6)
 
 
 def test_update_prior_dominated_limit():
-    s = init_state(Measurement(0.0, np.array([1.0, 2.0, 3.0])), FilterParams())
-    s = predict(s, 0.1, FilterParams())
-    post = update(s, np.array([5.0, -1.0, 2.0]), FilterParams(meas_sigma=1e9))
-    rel = np.linalg.norm(post.x - s.x) / np.linalg.norm(s.x)
+    x, p = predict(*init_state(np.array([1.0, 2.0, 3.0]), FilterParams()), 0.1, FilterParams())
+    x_post, _ = update(x, p, np.array([5.0, -1.0, 2.0]), FilterParams(meas_sigma=1e9))
+    rel = np.linalg.norm(x_post - x) / np.linalg.norm(x)
     assert rel < 1e-6
 
 
@@ -279,7 +310,7 @@ def test_innovation_whiteness_on_matched_model():
     rng = np.random.default_rng(0)
     pos = np.zeros(3)
     vel = rng.normal(size=3) * np.sqrt(params.init_vel_var)
-    state = init_state(Measurement(0.0, pos + rng.normal(scale=sz, size=3)), params)
+    x, p = init_state(pos + rng.normal(scale=sz, size=3), params)
     h = np.hstack([np.eye(3), np.zeros((3, 3))])
     nis = []
     for _ in range(1000):
@@ -287,11 +318,11 @@ def test_innovation_whiteness_on_matched_model():
         pos = pos + vel * dt + a * dt**2 / 2.0
         vel = vel + a * dt
         z = pos + rng.normal(scale=sz, size=3)
-        state = predict(state, dt, params)
-        s_innov = h @ state.p @ h.T + sz**2 * np.eye(3)
-        innov = z - h @ state.x
+        x, p = predict(x, p, dt, params)
+        s_innov = h @ p @ h.T + sz**2 * np.eye(3)
+        innov = z - h @ x
         nis.append(float(innov @ np.linalg.solve(s_innov, innov)))
-        state = update(state, z, params)
+        x, p = update(x, p, z, params)
     assert 2.4 < np.mean(nis) < 3.6
 
 
@@ -310,3 +341,58 @@ def test_output_is_causal():
                 assert b.position is None
             else:
                 np.testing.assert_allclose(a.position.xyz, b.position.xyz, atol=1e-14)
+
+
+def test_run_filter_matches_hand_stepped_filter(monkeypatch):
+    # lazy init, dropouts and uneven steps over more than two check blocks;
+    # every predicted and posterior state must reach the stacked check
+    checked = []
+
+    def spy(x, p):
+        assert len(x) <= 512
+        checked.append((x.copy(), p.copy()))
+        real_check(x, p)
+
+    real_check = kalman._check_states
+    monkeypatch.setattr(kalman, "_check_states", spy)
+    rng = np.random.default_rng(21)
+    params = FilterParams(accel_sigma=0.4, meas_sigma=0.05)
+    times = np.cumsum(rng.uniform(0.01, 0.1, size=1300))
+    kept = rng.uniform(size=times.size) > 0.2
+    kept[:3] = False
+    meas = [
+        Measurement(t, rng.normal(size=3) if keep else None) for t, keep in zip(times, kept)
+    ]
+    out = run_filter(meas, params)
+
+    states = []
+    x = p = None
+    for m, sample in zip(meas, out):
+        if x is None:
+            if m.position is None:
+                assert sample.position is None and sample.velocity is None
+                continue
+            x, p = init_state(m.position, params)
+        else:
+            x, p = predict(x, p, m.timestamp - prev, params)
+            if m.position is not None:
+                states.append((x, p))
+                x, p = update(x, p, m.position, params)
+        states.append((x, p))
+        prev = m.timestamp
+        assert sample.timestamp == m.timestamp
+        assert sample.from_measurement == (m.position is not None)
+        np.testing.assert_array_equal(sample.position.xyz, x[:3])
+        np.testing.assert_array_equal(sample.velocity, x[3:])
+    assert len(out) == len(meas) and len(checked) >= 3
+    np.testing.assert_array_equal(np.concatenate([c[0] for c in checked]), [s[0] for s in states])
+    np.testing.assert_array_equal(np.concatenate([c[1] for c in checked]), [s[1] for s in states])
+
+
+def test_run_filter_survives_long_time_steps():
+    # a 1e5 s gap grows P's entries to ~1e20, where roundoff alone breaks
+    # an absolute -1e-9 eigenvalue bound
+    z0, z1 = np.array([0.0, 0.0, 5.0]), np.array([1.0, -1.0, 6.0])
+    for gap in (1e5, 1e15, 1e30):
+        out = run_filter([Measurement(0.0, z0), Measurement(gap, z1)])
+        np.testing.assert_allclose(out[1].position.xyz, z1, atol=1e-6)

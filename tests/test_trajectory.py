@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trajex.errors import EmptySequence, LengthMismatch, TooFewPoints
+from trajex.errors import EmptySequence, FrameMismatch, LengthMismatch, TooFewPoints
 from trajex.geometry import CAMERA, WORLD, Point3, RigidTransform, Rotation
 from trajex.kalman import FilteredSample
 from trajex.trajectory import (
@@ -77,6 +77,29 @@ def test_build_trajectory_drops_empty_frames():
     np.testing.assert_allclose(traj.positions[1], [1.0, 0.0, 3.0], atol=1e-15)
 
 
+def test_build_trajectory_matches_to_world_per_frame():
+    # random poses and points, with gaps: each row is to_world, bit for bit
+    rng = np.random.default_rng(8)
+    samples, poses = [], []
+    for k in range(300):
+        rot = Rotation.from_axis_angle(rng.normal(size=3), rng.uniform(0.0, np.pi))
+        poses.append(RigidTransform(rot, rng.normal(scale=10.0, size=3), CAMERA, WORLD))
+        pos = None if rng.uniform() < 0.2 else Point3(rng.normal(scale=5.0, size=3), CAMERA)
+        samples.append(FilteredSample(0.1 * k, pos, None, pos is not None))
+    traj = build_trajectory(samples, poses)
+    kept = [(s, pose) for s, pose in zip(samples, poses) if s.position is not None]
+    assert len(traj) == len(kept)
+    np.testing.assert_array_equal(traj.times, [s.timestamp for s, _ in kept])
+    np.testing.assert_array_equal(
+        traj.positions, [to_world(s.position, pose).xyz for s, pose in kept]
+    )
+    # the frame tags are checked per pose, as to_world checks them
+    poses[-1] = RigidTransform(Rotation.identity(), np.zeros(3), WORLD, WORLD)
+    samples[-1] = FilteredSample(0.0, Point3(np.zeros(3), CAMERA), None, True)
+    with pytest.raises(FrameMismatch):
+        build_trajectory(samples, poses)
+
+
 def test_build_trajectory_all_empty_raises():
     with pytest.raises(EmptySequence):
         build_trajectory([FilteredSample(0.0, None, None, False)], [overhead_camera()])
@@ -131,6 +154,32 @@ def test_tracking_error_picks_nearest_segment():
     track = GroundTrack(np.array([0.0]), np.array([[1.2, 0.5]]))
     rmse, _ = tracking_error(track, ref)
     assert rmse == pytest.approx(0.2)
+
+
+def test_tracking_error_matches_per_point_loop():
+    # several chunks of point-segment pairs, one zero-length segment;
+    # the reference loop does the same float arithmetic one pair at a time
+    rng = np.random.default_rng(12)
+    ref = np.cumsum(rng.normal(scale=0.3, size=(40, 2)), axis=0)
+    ref[17] = ref[16]
+    xy = ref[rng.integers(0, 40, size=500)] + rng.normal(scale=0.2, size=(500, 2))
+    track = GroundTrack(np.arange(500.0), xy)
+
+    def brute(p):
+        best = np.inf
+        for a, b in zip(ref[:-1], ref[1:]):
+            ab = b - a
+            denom = ab[0] * ab[0] + ab[1] * ab[1]
+            denom = denom if denom > 0.0 else 1.0
+            t = min(max(((p[0] - a[0]) * ab[0] + (p[1] - a[1]) * ab[1]) / denom, 0.0), 1.0)
+            dx, dy = a[0] + t * ab[0] - p[0], a[1] + t * ab[1] - p[1]
+            best = min(best, np.sqrt(dx * dx + dy * dy))
+        return best
+
+    d = np.array([brute(p) for p in xy])
+    np.testing.assert_array_equal(
+        tracking_error(track, ref), (np.sqrt(np.mean(d**2)), np.max(d))
+    )
 
 
 def test_judge_success_strict_threshold():
