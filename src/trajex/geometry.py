@@ -191,7 +191,7 @@ class Point3:
         v = np.asarray(self.xyz, dtype=float)
         if v.shape != (3,):
             raise ValueError(f"point must have 3 components, got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("point has non-finite components")
         v.flags.writeable = False
         object.__setattr__(self, "xyz", v)

@@ -261,6 +261,9 @@ def adapt_poses(
     world axes onto ours, e.g. 'x,-z,y' for a y-up source.
     """
     remap = _axes_rotation(axes)
+    tagged = all(r.pose.frame_from == CAMERA and r.pose.frame_to == WORLD for r in records)
+    if tagged and not invert and scale == 1.0 and np.array_equal(remap.matrix, np.eye(3)):
+        return list(records)
     out = []
     with np.errstate(over="ignore"):  # a pose that overflows fails its own check
         for r in records:

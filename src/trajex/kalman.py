@@ -4,44 +4,49 @@ State is x = (position, velocity) in R^6, expressed in the camera
 frame. The motion model is constant velocity driven by white-noise
 acceleration, so for a step of length dt:
 
-    F = [[I, dt I], [0, I]]
-    Q = sigma_a^2 [[dt^4/4 I, dt^3/2 I], [dt^3/2 I, dt^2 I]]
+    F = [[1, dt], [0, 1]] (x) I3
+    Q = sigma_a^2 [[dt^4/4, dt^3/2], [dt^3/2, dt^2]] (x) I3
 
 Measurements are noisy positions, H = [I 0], R = sigma_z^2 I. Both
-models are linear, so the filter is exact; no linearization happens
-anywhere. Updates use the Joseph form and covariances are symmetrized
-after every step to keep them well conditioned over long runs.
+models are linear, so the filter is exact. With the initial covariance
+diag(pos_var, vel_var) (x) I3, every covariance of a run is P2 (x) I3,
+P2 = [[a, b], [b, c]], so run_filter runs one scalar recursion on Python
+floats, with the gains (a, b) / (a + r) on each axis. It also carries
+e = c - b^2/a, the velocity variance given the position: every value is
+then a sum or ratio of non-negative terms, and none overflows before P2
+does. init_state, predict and update are the same filter in 6-D
+(Joseph-form update); the tests hold run_filter to them.
 
-The belief is the pair of arrays x (6,) and P (6, 6). run_filter checks
-every state it produces in stacks of up to 512: finite, P symmetric
-within 1e-9, and no eigenvalue of P below -1e-9 * max(1, largest). The
-bound is relative because a long step leaves P with entries so large
-(~1e20 after 1e5 s) that roundoff alone would break an absolute one.
+run_filter checks every state and P2 it produces (the first one, each
+prediction and each posterior) once, in closed form: all finite, and
+P2's smallest eigenvalue (a+c)/2 - hypot((a-c)/2, b) not below
+-1e-9 * max(1, largest). The bound is relative because P2's entries grow
+with the step (~1e20 after 1e5 s). A step whose prediction overflows
+(past ~2e77 s at the default noise) is an InputError naming the step.
 
 The filter initializes lazily at the first available measurement
-(velocity zero) rather than guessing a state beforehand. Frames before
-that point carry no estimate; dropped detections after it are bridged
-by prediction alone.
+(velocity zero). Frames before that point carry no estimate; dropped
+detections after it are bridged by prediction alone.
 """
 
 from __future__ import annotations
 
-import functools
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     EmptySequence,
+    InputError,
     NonMonotonicTimestamps,
     NonPositiveDt,
     SingularInnovation,
 )
 from .geometry import CAMERA, Point3
 
-_SYM_TOL = 1e-9
 _PSD_TOL = 1e-9  # relative to max(1, largest eigenvalue)
-_BLOCK = 512  # states per stacked check in run_filter
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class FilterParams:
     accel_sigma is the white-noise acceleration density in m/s^2,
     meas_sigma the per-axis measurement noise in m. init_pos_var
     defaults to meas_sigma^2 since the state is seeded from a
-    measurement.
+    measurement. Both sigmas must have a finite square.
     """
 
     accel_sigma: float = 0.5
@@ -60,8 +65,8 @@ class FilterParams:
     init_vel_var: float = 1.0
 
     def __post_init__(self):
-        if self.accel_sigma <= 0.0 or self.meas_sigma <= 0.0:
-            raise ValueError("noise parameters must be positive")
+        if not all(v > 0.0 and math.isfinite(v * v) for v in (self.accel_sigma, self.meas_sigma)):
+            raise ValueError("noise parameters must be positive, with a finite square")
         if self.init_pos_var is not None and self.init_pos_var <= 0.0:
             raise ValueError("init_pos_var must be positive")
         if self.init_vel_var <= 0.0:
@@ -102,23 +107,10 @@ class FilteredSample:
     from_measurement: bool
 
 
-@functools.lru_cache(maxsize=64)
 def transition(dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Return (F, unit Q) for a step of length dt; scale Q by accel_sigma^2.
-
-    A frame stream has only a few distinct steps, so the pair is cached
-    per dt and returned read-only.
-    """
-    i3 = np.eye(3)
-    f = np.block([[i3, dt * i3], [np.zeros((3, 3)), i3]])
-    q = np.block(
-        [
-            [dt**4 / 4.0 * i3, dt**3 / 2.0 * i3],
-            [dt**3 / 2.0 * i3, dt**2 * i3],
-        ]
-    )
-    f.flags.writeable = False
-    q.flags.writeable = False
+    """Return (F, unit Q) for a step of length dt; scale Q by accel_sigma^2."""
+    f = np.kron([[1.0, dt], [0.0, 1.0]], np.eye(3))
+    q = np.kron([[dt**4 / 4.0, dt**3 / 2.0], [dt**3 / 2.0, dt**2]], np.eye(3))
     return f, q
 
 
@@ -157,14 +149,13 @@ def update(x: np.ndarray, p: np.ndarray, z: np.ndarray, params: FilterParams) ->
     return x, p
 
 
-def _check_states(x: np.ndarray, p: np.ndarray) -> None:
-    """Raise ValueError unless each x[i], p[i] is finite and p[i] is symmetric PSD."""
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
+def _check_states(states: np.ndarray) -> None:
+    """Raise ValueError unless each row (x (6), a, b, c) is finite with P2 = [[a, b], [b, c]] PSD."""
+    if not np.all(np.isfinite(states)):
         raise ValueError("state and covariance must be finite")
-    if not np.all(np.abs(p - p.transpose(0, 2, 1)) <= _SYM_TOL):
-        raise ValueError("covariance is not symmetric")
-    eig = np.linalg.eigvalsh(p)
-    if np.any(eig[:, 0] < -_PSD_TOL * np.maximum(1.0, eig[:, -1])):
+    a, b, c = states[:, 6:].T / 2.0  # halved first, so that a + c cannot overflow
+    mid, rad = a + c, np.hypot(a - c, 2.0 * b)
+    if np.any(mid - rad < -_PSD_TOL * np.maximum(1.0, mid + rad)):
         raise ValueError("covariance is not positive semidefinite")
 
 
@@ -174,14 +165,15 @@ def run_filter(measurements, params: FilterParams | None = None) -> list[Filtere
     measurements is an iterable of Measurement in time order; dropped
     frames (position None) are carried through by prediction once the
     filter has initialized, and yield samples with position None before
-    that. Raises EmptySequence when no frame carries a position and
-    NonMonotonicTimestamps when time does not strictly increase, and
+    that. Raises EmptySequence (no frame has a position), InputError (a
+    step overflows the covariance), NonMonotonicTimestamps, and
     ValueError when a state breaks the invariants above.
     """
     measurements = list(measurements)
     if params is None:
         params = FilterParams()
-    if not any(m.position is not None for m in measurements):
+    first = next((i for i, m in enumerate(measurements) if m.position is not None), None)
+    if first is None:
         raise EmptySequence("no frame carries a usable measurement")
     for a, b in zip(measurements, measurements[1:]):
         if b.timestamp <= a.timestamp:
@@ -189,38 +181,43 @@ def run_filter(measurements, params: FilterParams | None = None) -> list[Filtere
                 f"timestamps must strictly increase, got {a.timestamp} then {b.timestamp}"
             )
 
-    samples: list[FilteredSample] = []
-    xs, ps = np.empty((_BLOCK, 6)), np.empty((_BLOCK, 6, 6))
-    n = 0  # states in the buffer that are not checked yet
-    x = p = None
+    q, r = params.accel_sigma**2, params.meas_sigma**2
+    t = measurements[first].timestamp
+    px, py, pz, vx, vy, vz = *measurements[first].position.tolist(), 0.0, 0.0, 0.0
+    a, b, c, e = params.pos_var, 0.0, params.init_vel_var, params.init_vel_var  # e = c - b^2/a
+    record = struct.Struct("9d").pack_into  # a state and its P2 into `states`, 72 bytes a row
+    states, n, out = np.empty((2 * len(measurements), 9)), 1, [0]  # rows recorded; rows reported
+    record(states, 0, px, py, pz, vx, vy, vz, a, b, c)
     try:
-        for meas in measurements:
-            z = meas.position
-            if x is None:
-                if z is None:
-                    samples.append(FilteredSample(meas.timestamp, None, None, False))
-                    continue
-                x, p = init_state(z, params)
-            else:
-                x, p = predict(x, p, meas.timestamp - t, params)
-                if z is not None:
-                    xs[n], ps[n] = x, p
-                    n += 1
-                    x, p = update(x, p, z, params)
-            xs[n], ps[n] = x, p
+        for meas in measurements[first + 1 :]:
+            dt, t = meas.timestamp - t, meas.timestamp
+            dt2 = dt * dt
+            a1 = a + dt * (2.0 * b + dt * c) + q * dt2 * (dt2 / 4.0)
+            # e = det P2 / a; det P2 grows by q v P2 v^T <= q dt^2 a1, v = (dt, dt^2/2)
+            e = e * (a / a1) + q * dt2 * ((a + dt * (b + dt * c / 4.0)) / a1) if a1 > 0.0 else c
+            a, b, c = a1, b + dt * c + q * dt2 * (dt / 2.0), c + q * dt2
+            if not a + c < math.inf:  # NaN too, from 0 * inf
+                raise InputError(f"a step of {dt!r} s to t = {t!r} overflows the filter covariance")
+            px, py, pz = px + dt * vx, py + dt * vy, pz + dt * vz
+            if meas.position is not None:
+                record(states, 72 * n, px, py, pz, vx, vy, vz, a, b, c)
+                n += 1
+                s = a + r
+                if not 0.0 < s < math.inf:
+                    raise SingularInnovation("innovation covariance is numerically singular")
+                k1, k2, w = a / s, b / s, r / s
+                zx, zy, zz = meas.position.tolist()
+                ix, iy, iz = zx - px, zy - py, zz - pz
+                px, py, pz = px + k1 * ix, py + k1 * iy, pz + k1 * iz
+                vx, vy, vz = vx + k2 * ix, vy + k2 * iy, vz + k2 * iz
+                # c - b^2/s = e + (b^2/a) w with b^2/a = c - e, exact as w = 1 - k1 nears 0
+                a, b, c = a * w, b * w, e + (c - e) * w
+            out.append(n)
+            record(states, 72 * n, px, py, pz, vx, vy, vz, a, b, c)
             n += 1
-            if n >= _BLOCK - 1:  # keep room for the next frame's two states
-                full, n = n, 0
-                _check_states(xs[:full], ps[:full])
-            t = meas.timestamp
-            samples.append(
-                FilteredSample(
-                    timestamp=meas.timestamp,
-                    position=Point3(x[:3], frame=CAMERA),
-                    velocity=x[3:].copy(),
-                    from_measurement=z is not None,
-                )
-            )
     finally:  # on an error too: a bad state is reported before what it broke later
-        _check_states(xs[:n], ps[:n])
-    return samples
+        _check_states(states[:n])
+    return [FilteredSample(m.timestamp, None, None, False) for m in measurements[:first]] + [
+        FilteredSample(m.timestamp, Point3(row[:3], frame=CAMERA), row[3:6], m.position is not None)
+        for m, row in zip(measurements[first:], states[out])
+    ]

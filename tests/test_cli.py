@@ -255,6 +255,8 @@ def test_exit_code_bad_override(tmp_path, capsys):
         ("eval", "sim.dropout=1.5"),
         ("eval", "sim.pixel_sigma=-1"),
         ("extract", "frame_rate=0"),
+        ("extract", "filter.accel_sigma=1e160"),
+        ("extract", "filter.meas_sigma=1e160"),
     ],
 )
 def test_exit_code_out_of_range_config(tmp_path, capsys, command, setting):
@@ -454,16 +456,53 @@ def test_extract_override_changes_metrics_deterministically(tmp_path, capsys):
     assert outs["slow"] != outs["default_a"]
 
 
-def test_extract_survives_long_time_step(tmp_path, capsys):
-    # two detections 1e5 s apart; the filter's covariance reaches ~1e20
-    dets = tmp_path / "det.txt"
-    dets.write_text("0 0.0 320 240 40 30\n1 1e5 320 240 40 30\n")
-    poses = tmp_path / "poses.txt"
-    poses.write_text("0 0 4.5 1.5 0 0 0 1\n1e5 0 4.5 1.5 0 0 0 1\n")
+@pytest.fixture(scope="module")
+def scene_40(tmp_path_factory):
+    """The first 40 rows of a noisy ugv_red scene, with 4 dropouts, two of them in a row."""
+    d = tmp_path_factory.mktemp("scene_40")
+    settings = ["--set", "sim.pixel_sigma=1", "--set", "sim.dropout=0.1"]
+    assert main(["simulate", "--scenario", "ugv_red", "--seed", "1", *settings, "--out-dir", str(d)]) == 0
+    for name in ("detections.txt", "poses.txt"):
+        rows = (d / name).read_text().splitlines(keepends=True)[:40]
+        (d / name).write_text("".join(rows))
+    assert (d / "detections.txt").read_text().count("missing") == 4
+    return d
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["step=1e5", "step=1e15", "step=1e30", "step=1e60", "step=1e78"]
+    + [f"filter.accel_sigma={v}" for v in ("1e-200", "1e150")]
+    + ["filter.meas_sigma=1e-200"]
+    + [f"filter.init_pos_var={v}" for v in ("1e-300", "1e300")]
+    + [f"filter.init_vel_var={v}" for v in ("1e-300", "1e200", "1e300")],
+)
+def test_extract_sweep_of_steps_and_filter_settings(tmp_path, capsys, scene_40, case):
+    # steps: two detections of a static camera, the second box 10 px to the
+    # right; after a long gap the track must reach the second measurement,
+    # which a lone second row gives exactly. A step whose covariance
+    # overflows is an input error that names the step
+    key, value = case.split("=")
     out = tmp_path / "out"
-    code, _, err = run(
-        ["extract", "--detections", str(dets), "--poses", str(poses), "--out-dir", str(out)],
-        capsys,
-    )
+    if key == "step":
+        dets, poses = tmp_path / "det.txt", tmp_path / "poses.txt"
+        poses.write_text(f"0 0 4.5 1.5 0 0 0 1\n{value} 0 4.5 1.5 0 0 0 1\n")
+        dets.write_text(f"1 {value} 330 240 40 30\n")
+        argv = ["extract", "--detections", str(dets), "--poses", str(poses)]
+        assert run([*argv, "--out-dir", str(tmp_path / "alone")], capsys)[0] == 0
+        alone = read_trajectory(tmp_path / "alone" / "trajectory.txt").positions[0]
+        dets.write_text(f"0 0.0 320 240 40 30\n1 {value} 330 240 40 30\n")
+    else:
+        dets, poses = scene_40 / "detections.txt", scene_40 / "poses.txt"
+        argv = ["extract", "--detections", str(dets), "--poses", str(poses), "--set", case]
+    code, _, err = run([*argv, "--out-dir", str(out)], capsys)
+    if case == "step=1e78":
+        assert code == 2 and "step of 1e+78 s" in err
+        return
     assert code == 0, err
-    assert len(read_trajectory(out / "trajectory.txt")) == 2
+    traj = read_trajectory(out / "trajectory.txt")
+    if key == "step":
+        assert len(traj) == 2
+        np.testing.assert_allclose(traj.positions[1], alone, rtol=0, atol=1e-9)
+    else:
+        assert len(traj) == 40

@@ -149,6 +149,28 @@ def test_adapt_poses_invert():
     np.testing.assert_allclose(out[0].pose.rotation.matrix, cam_in_world.rotation.matrix, atol=1e-14)
 
 
+def test_adapt_poses_defaults_keep_records():
+    # camera-in-world records pass the defaults bit for bit, signed zeros
+    # and frame tags included; an untagged record is still relabelled
+    rot = Rotation(np.array([[1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    tilted = Rotation.from_axis_angle([1.0, 2.0, 0.5], 0.7)
+    records = [
+        CameraPoseRecord(0.0, RigidTransform(rot, np.array([-0.0, 1.5, 2.0]), CAMERA, WORLD)),
+        CameraPoseRecord(0.1, RigidTransform(tilted, np.array([0.3, -1.0, 4.5]), CAMERA, WORLD)),
+    ]
+    out = adapt_poses(records)
+    assert len(out) == len(records)
+    for a, b in zip(out, records):
+        assert a.timestamp == b.timestamp
+        assert (a.pose.frame_from, a.pose.frame_to) == (CAMERA, WORLD)
+        assert a.pose.rotation.matrix.tobytes() == b.pose.rotation.matrix.tobytes()
+        assert a.pose.translation.tobytes() == b.pose.translation.tobytes()
+    untagged = [CameraPoseRecord(0.0, RigidTransform(tilted, np.zeros(3)))]
+    out = adapt_poses(untagged)
+    assert (out[0].pose.frame_from, out[0].pose.frame_to) == (CAMERA, WORLD)
+    np.testing.assert_array_equal(out[0].pose.rotation.matrix, tilted.matrix)
+
+
 def test_adapt_poses_scale():
     pose = RigidTransform(Rotation.identity(), np.array([1000.0, 0.0, 0.0]))
     out = adapt_poses([CameraPoseRecord(0.0, pose)], scale=0.001)

@@ -6,6 +6,7 @@ import pytest
 from trajex import kalman
 from trajex.errors import (
     EmptySequence,
+    InputError,
     NonMonotonicTimestamps,
     NonPositiveDt,
     SingularInnovation,
@@ -29,6 +30,8 @@ def test_params_validation():
         FilterParams(meas_sigma=-1.0)
     with pytest.raises(ValueError):
         FilterParams(init_vel_var=0.0)
+    with pytest.raises(ValueError, match="finite square"):
+        FilterParams(accel_sigma=1e160)
 
 
 def test_params_pos_var_defaults_to_meas_variance():
@@ -48,48 +51,43 @@ def test_transition_oracle():
     np.testing.assert_allclose(q, q.T)
 
 
-def test_transition_is_cached_and_read_only():
-    f, q = transition(0.25)
-    assert not f.flags.writeable and not q.flags.writeable
-    with pytest.raises(ValueError):
-        f[0, 3] = 1.0
-    f2, q2 = transition(0.25)
-    np.testing.assert_array_equal(f2, f)
-    np.testing.assert_array_equal(q2, q)
-
-
 def test_state_validation():
     # one bad state in a stack of good ones fails the whole stack
-    xs, ps = np.zeros((5, 6)), np.tile(np.eye(6), (5, 1, 1))
-    kalman._check_states(xs, ps)
-    kalman._check_states(xs[:0], ps[:0])
+    def check(xs, covs):
+        kalman._check_states(np.hstack([xs, covs]))
+
+    xs, covs = np.zeros((5, 6)), np.tile([1.0, 0.0, 1.0], (5, 1))
+    check(xs, covs)
+    check(xs[:0], covs[:0])
     bad_x = xs.copy()
     bad_x[3, 4] = np.inf
     with pytest.raises(ValueError, match="state and covariance must be finite"):
-        kalman._check_states(bad_x, ps)
-    bad_p = ps.copy()
-    bad_p[2, 0, 0] = np.nan
+        check(bad_x, covs)
+    bad = covs.copy()
+    bad[2, 1] = np.nan
     with pytest.raises(ValueError, match="state and covariance must be finite"):
-        kalman._check_states(xs, bad_p)
-    bad_p = ps.copy()
-    bad_p[1, 0, 1] = 0.5
-    with pytest.raises(ValueError, match="covariance is not symmetric"):
-        kalman._check_states(xs, bad_p)
-    bad_p = ps.copy()
-    bad_p[4] = -np.eye(6)
+        check(xs, bad)
+    bad[2] = [-1.0, 0.0, -1.0]
     with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
-        kalman._check_states(xs, bad_p)
+        check(xs, bad)
     # the eigenvalue bound is -1e-9 * max(1, largest eigenvalue)
-    bad_p[4] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.5e-9])
-    kalman._check_states(xs, bad_p)
-    bad_p[4, 5, 5] = -2e-9
+    bad[2] = [1.0, 0.0, -0.5e-9]
+    check(xs, bad)
+    bad[2, 2] = -2e-9
     with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
-        kalman._check_states(xs, bad_p)
-    bad_p[4] = np.diag([1e20, 1.0, 1.0, 1.0, 1.0, -1e10])
-    kalman._check_states(xs, bad_p)
-    bad_p[4, 5, 5] = -1e12
+        check(xs, bad)
+    bad[2] = [1e20, 0.0, -1e10]
+    check(xs, bad)
+    bad[2, 2] = -1e12
     with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
-        kalman._check_states(xs, bad_p)
+        check(xs, bad)
+    # det = 1 - b^2 < 0 with a positive diagonal; a + c near the float
+    # limit must not overflow the test
+    bad[2] = [1.0, 1.0 + 1e-6, 1.0]
+    with pytest.raises(ValueError, match="covariance is not positive semidefinite"):
+        check(xs, bad)
+    bad[2] = [1.5e308, 0.0, 1.5e308]
+    check(xs, bad)
 
 
 def test_measurement_validation():
@@ -344,14 +342,14 @@ def test_output_is_causal():
 
 
 def test_run_filter_matches_hand_stepped_filter(monkeypatch):
-    # lazy init, dropouts and uneven steps over more than two check blocks;
-    # every predicted and posterior state must reach the stacked check
+    # lazy init, dropouts and uneven steps; the scalar recursion must agree
+    # with the 6-D reference, whose covariance must stay P2 (x) I3, and
+    # every predicted and posterior state must reach the check
     checked = []
 
-    def spy(x, p):
-        assert len(x) <= 512
-        checked.append((x.copy(), p.copy()))
-        real_check(x, p)
+    def spy(states):
+        checked.append(states.copy())
+        real_check(states)
 
     real_check = kalman._check_states
     monkeypatch.setattr(kalman, "_check_states", spy)
@@ -382,17 +380,26 @@ def test_run_filter_matches_hand_stepped_filter(monkeypatch):
         prev = m.timestamp
         assert sample.timestamp == m.timestamp
         assert sample.from_measurement == (m.position is not None)
-        np.testing.assert_array_equal(sample.position.xyz, x[:3])
-        np.testing.assert_array_equal(sample.velocity, x[3:])
-    assert len(out) == len(meas) and len(checked) >= 3
-    np.testing.assert_array_equal(np.concatenate([c[0] for c in checked]), [s[0] for s in states])
-    np.testing.assert_array_equal(np.concatenate([c[1] for c in checked]), [s[1] for s in states])
+        np.testing.assert_allclose(sample.position.xyz, x[:3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sample.velocity, x[3:], rtol=0, atol=1e-12)
+    assert len(out) == len(meas) and len(checked) == 1
+    xs, covs = checked[0][:, :6], checked[0][:, 6:]
+    np.testing.assert_allclose(xs, [s[0] for s in states], rtol=0, atol=1e-12)
+    ref = np.array([s[1] for s in states])
+    np.testing.assert_allclose(covs, ref[:, [0, 0, 3], [0, 3, 3]], rtol=1e-12, atol=0)
+    p2 = np.stack([covs[:, [0, 1]], covs[:, [1, 2]]], axis=1)
+    np.testing.assert_allclose(ref, [np.kron(m, np.eye(3)) for m in p2], rtol=0, atol=1e-15)
 
 
 def test_run_filter_survives_long_time_steps():
     # a 1e5 s gap grows P's entries to ~1e20, where roundoff alone breaks
-    # an absolute -1e-9 eigenvalue bound
+    # an absolute -1e-9 eigenvalue bound; at 1e60 s the posterior velocity
+    # variance is a difference of terms near 1e119 unless it is carried as
+    # c - b^2/a; at 1.5e77 s dt^4 overflows but q dt^4 / 4 does not; at
+    # 1e78 s the covariance itself overflows
     z0, z1 = np.array([0.0, 0.0, 5.0]), np.array([1.0, -1.0, 6.0])
-    for gap in (1e5, 1e15, 1e30):
+    for gap in (1e5, 1e15, 1e30, 1e60, 1.5e77):
         out = run_filter([Measurement(0.0, z0), Measurement(gap, z1)])
         np.testing.assert_allclose(out[1].position.xyz, z1, atol=1e-6)
+    with pytest.raises(InputError, match="step of 1e[+]78 s"):
+        run_filter([Measurement(0.0, z0), Measurement(1e78, z1)])
