@@ -25,16 +25,12 @@ from .errors import (
 )
 from .geometry import (
     CAMERA,
-    ROBOT,
     WORLD,
     CameraIntrinsics,
-    Pixel,
     Point3,
     RigidTransform,
     Rotation,
-    compose,
     invert,
-    project,
     transform_point,
 )
 from .io import (

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatch, PointBehindCamera
+from .errors import DenormalizedQuaternion, FrameMismatch, PointBehindCamera
 
 WORLD = "world"
 CAMERA = "camera"
-ROBOT = "robot"
 
 _ORTHO_TOL = 1e-9
+_QUAT_TOL = 1e-6  # largest accepted |norm - 1| of a quaternion
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -79,20 +79,18 @@ class Rotation:
         return Rotation(_rodrigues(np.asarray(rotvec, dtype=float)))
 
     @staticmethod
-    def from_quaternion(q: np.ndarray, tol: float = 1e-6) -> "Rotation":
+    def from_quaternion(q: np.ndarray) -> "Rotation":
         """Unit quaternion (x, y, z, w) to matrix.
 
-        The norm must be within tol of 1; the quaternion is renormalized
+        The norm must be within 1e-6 of 1; the quaternion is renormalized
         before conversion so the result is always a proper rotation.
         """
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have 4 components, got {q.shape}")
         n = np.linalg.norm(q)
-        if abs(n - 1.0) > tol:
-            from .errors import DenormalizedQuaternion
-
-            raise DenormalizedQuaternion(f"quaternion norm {n:.6g} not within {tol} of 1")
+        if abs(n - 1.0) > _QUAT_TOL:
+            raise DenormalizedQuaternion(f"quaternion norm {n:.6g} not within {_QUAT_TOL} of 1")
         x, y, z, w = q / n
         m = np.array(
             [
@@ -210,22 +208,6 @@ class Point3:
 
 
 @dataclass(frozen=True)
-class Pixel:
-    """Image-plane coordinates in pixels (u right, v down)."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.u) and np.isfinite(self.v)):
-            raise ValueError("pixel coordinates must be finite")
-
-    @property
-    def uv(self) -> np.ndarray:
-        return np.array([self.u, self.v])
-
-
-@dataclass(frozen=True)
 class RigidTransform:
     """SE(3) transform: p_to = rotation @ p_from + translation."""
 
@@ -242,24 +224,6 @@ class RigidTransform:
             raise ValueError("translation has non-finite components")
         t.flags.writeable = False
         object.__setattr__(self, "translation", t)
-
-    @staticmethod
-    def identity(frame: str | None = None) -> "RigidTransform":
-        return RigidTransform(Rotation.identity(), np.zeros(3), frame, frame)
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """a after b: (a o b)(p) = a(b(p)).
-
-    Frame tags chain: b maps X->Y, a maps Y->Z, result maps X->Z.
-    """
-    _check_frames(a.frame_from, b.frame_to, "compose")
-    return RigidTransform(
-        rotation=a.rotation @ b.rotation,
-        translation=a.rotation.apply(b.translation) + a.translation,
-        frame_from=b.frame_from,
-        frame_to=a.frame_to,
-    )
 
 
 def invert(t: RigidTransform) -> RigidTransform:
@@ -293,37 +257,26 @@ class CameraIntrinsics:
             if not np.isfinite(v):
                 raise ValueError("intrinsics must be finite")
 
-    def normalize(self, px: Pixel) -> np.ndarray:
-        """Pixel to normalized image coordinates (x/z, y/z)."""
-        return np.array([(px.u - self.cx) / self.fx, (px.v - self.cy) / self.fy])
-
-    def denormalize(self, xy: np.ndarray) -> Pixel:
-        return Pixel(self.fx * xy[0] + self.cx, self.fy * xy[1] + self.cy)
-
 
 _MIN_DEPTH = 1e-9
 
 
-def project(intrinsics: CameraIntrinsics, p_cam: Point3 | np.ndarray) -> Pixel:
-    """Project a camera-frame point through the pinhole model.
-
-    Raises PointBehindCamera if the depth is at or below 1e-9; points
-    that close to the image plane have no meaningful projection.
-    """
-    if isinstance(p_cam, Point3):
-        _check_frames(CAMERA, p_cam.frame, "project")
-        p_cam = p_cam.xyz
-    u, v = project_points(intrinsics, np.asarray(p_cam, dtype=float)[None, :])[0]
-    return Pixel(float(u), float(v))
+def _check_depths(z: np.ndarray):
+    """Raise PointBehindCamera for the first depth at or below _MIN_DEPTH."""
+    if np.any(z <= _MIN_DEPTH):
+        i = int(np.argmax(z <= _MIN_DEPTH))
+        raise PointBehindCamera(f"point {i} has depth {z[i]:.3g}")
 
 
 def project_points(intrinsics: CameraIntrinsics, pts_cam: np.ndarray) -> np.ndarray:
-    """Vectorized projection of an (N, 3) array of camera-frame points."""
+    """Pinhole projection of an (N, 3) array of camera-frame points to (N, 2) pixels.
+
+    Raises PointBehindCamera if a depth is at or below 1e-9; points that
+    close to the image plane have no meaningful projection.
+    """
     pts = np.asarray(pts_cam, dtype=float)
     z = pts[:, 2]
-    if np.any(z <= _MIN_DEPTH):
-        bad = int(np.argmax(z <= _MIN_DEPTH))
-        raise PointBehindCamera(f"point {bad} has depth {z[bad]:.3g}")
+    _check_depths(z)
     f = np.array([intrinsics.fx, intrinsics.fy])
     c = np.array([intrinsics.cx, intrinsics.cy])
     return f * pts[:, :2] / z[:, None] + c

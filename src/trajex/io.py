@@ -214,12 +214,11 @@ def write_detections(records, target):
 # camera poses
 
 
-def read_camera_poses(source, quat_tol: float = 1e-6) -> list[CameraPoseRecord]:
+def read_camera_poses(source) -> list[CameraPoseRecord]:
     """Parse a pose stream: timestamp, translation, quaternion (x y z w).
 
     Each row is the camera's pose in the world frame. Timestamps must
-    strictly increase and quaternions must be unit length within
-    quat_tol.
+    strictly increase and quaternions must be unit length within 1e-6.
     """
     records: list[CameraPoseRecord] = []
     for name, lineno, line in _iter_lines(source):
@@ -229,7 +228,7 @@ def read_camera_poses(source, quat_tol: float = 1e-6) -> list[CameraPoseRecord]:
         vals = [_parse_float(tok[i], name, lineno, "pose field") for i in range(8)]
         t, tx, ty, tz = vals[:4]
         try:
-            rot = Rotation.from_quaternion(np.array(vals[4:]), tol=quat_tol)
+            rot = Rotation.from_quaternion(np.array(vals[4:]))
         except DenormalizedQuaternion as e:
             raise DenormalizedQuaternion(f"{name}:{lineno}: {e}") from None
         if records and t <= records[-1].timestamp:

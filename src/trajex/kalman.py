@@ -11,7 +11,8 @@ Measurements are noisy positions, H = [I 0], R = sigma_z^2 I. Both
 models are linear, so the filter is exact. With the initial covariance
 diag(pos_var, vel_var) (x) I3, every covariance of a run is P2 (x) I3,
 P2 = [[a, b], [b, c]], so run_filter runs one scalar recursion on Python
-floats, with the gains (a, b) / (a + r) on each axis. It also carries
+floats, with the gains (a, b) / (a + r) on each axis, taken from halved
+terms so that a + r cannot overflow. It also carries
 e = c - b^2/a, the velocity variance given the position: every value is
 then a sum or ratio of non-negative terms, and none overflows before P2
 does. init_state, predict and update are the same filter in 6-D
@@ -23,6 +24,8 @@ P2's smallest eigenvalue (a+c)/2 - hypot((a-c)/2, b) not below
 -1e-9 * max(1, largest). The bound is relative because P2's entries grow
 with the step (~1e20 after 1e5 s). A step whose prediction overflows
 (past ~2e77 s at the default noise) is an InputError naming the step.
+An innovation variance that underflows to 0 (both sigmas below ~1e-160)
+is an InputError too.
 
 The filter initializes lazily at the first available measurement
 (velocity zero). Frames before that point carry no estimate; dropped
@@ -166,7 +169,8 @@ def run_filter(measurements, params: FilterParams | None = None) -> list[Filtere
     frames (position None) are carried through by prediction once the
     filter has initialized, and yield samples with position None before
     that. Raises EmptySequence (no frame has a position), InputError (a
-    step overflows the covariance), NonMonotonicTimestamps, and
+    step overflows the covariance, or the innovation variance underflows
+    to 0), NonMonotonicTimestamps, and
     ValueError when a state breaks the invariants above.
     """
     measurements = list(measurements)
@@ -202,10 +206,13 @@ def run_filter(measurements, params: FilterParams | None = None) -> list[Filtere
             if meas.position is not None:
                 record(states, 72 * n, px, py, pz, vx, vy, vz, a, b, c)
                 n += 1
-                s = a + r
-                if not 0.0 < s < math.inf:
-                    raise SingularInnovation("innovation covariance is numerically singular")
-                k1, k2, w = a / s, b / s, r / s
+                s = 0.5 * a + 0.5 * r  # (a + r) / 2, which cannot overflow
+                if s == 0.0:
+                    raise InputError(
+                        f"the innovation variance underflows to 0 at t = {t!r}: "
+                        "filter.meas_sigma and filter.accel_sigma are too small"
+                    )
+                k1, k2, w = 0.5 * a / s, 0.5 * b / s, 0.5 * r / s
                 zx, zy, zz = meas.position.tolist()
                 ix, iy, iz = zx - px, zy - py, zz - pz
                 px, py, pz = px + k1 * ix, py + k1 * iy, pz + k1 * iz

@@ -26,12 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, DivergedRefinement, NoValidPose, PointBehindCamera
-from .geometry import _MIN_DEPTH, _ORTHO_TOL, _SKEW, CAMERA, ROBOT, CameraIntrinsics, Point3
-from .geometry import RigidTransform, Rotation, _orthonormalize, _rodrigues
+from .geometry import _MIN_DEPTH, _ORTHO_TOL, _SKEW, CAMERA, CameraIntrinsics, Point3, Rotation
+from .geometry import _check_depths, _orthonormalize, _rodrigues
 
 # refine_pose stops once an accepted step lowers the cost by at most this
-# fraction of it (MINPACK's relative-reduction test)
+# fraction of it (MINPACK's relative-reduction test), or at its _MAX_ITERS-th
+# linearization
 _FTOL = 1e-10
+_MAX_ITERS = 50
 
 # Outcome of one row of the stacked solve: code 0 is solved, and code k > 0
 # is the exception _FAILS[k], which the per-frame functions raise.
@@ -120,9 +122,6 @@ class PnpSolution:
         t.flags.writeable = False
         object.__setattr__(self, "translation", t)
 
-    def as_transform(self) -> RigidTransform:
-        return RigidTransform(self.rotation, self.translation, frame_from=ROBOT, frame_to=CAMERA)
-
 
 def _fail(code: np.ndarray, bad: np.ndarray, msg: str):
     """Rows in bad that have no outcome yet fail with msg: a row's first failure stands."""
@@ -133,13 +132,6 @@ def _raise(code: int):
     if code:
         cls, msg = _FAILS[code]
         raise cls(msg)
-
-
-def _check_depths(z: np.ndarray):
-    """Raise PointBehindCamera for the first depth at or below _MIN_DEPTH."""
-    if np.any(z <= _MIN_DEPTH):
-        i = int(np.argmax(z <= _MIN_DEPTH))
-        raise PointBehindCamera(f"point {i} has depth {z[i]:.3g}")
 
 
 def _box_corners(boxes: np.ndarray) -> np.ndarray:
@@ -302,7 +294,7 @@ def _ippe(img: np.ndarray, model: RobotModel, intrinsics: CameraIntrinsics):
     return rot[pick], t[pick], rmse[pick], valid.sum(axis=1), code
 
 
-def _refine(rot, t, img, model: RobotModel, intrinsics: CameraIntrinsics, max_iters: int = 50):
+def _refine(rot, t, img, model: RobotModel, intrinsics: CameraIntrinsics):
     """Levenberg-Marquardt polish of stacked poses (see refine_pose).
 
     Each round takes one damped step on every row still running, so a row
@@ -327,7 +319,7 @@ def _refine(rot, t, img, model: RobotModel, intrinsics: CameraIntrinsics, max_it
         i = np.flatnonzero(fresh)
         if i.size:
             fresh[i] = False
-            live[i] = iters[i] < max_iters
+            live[i] = iters[i] < _MAX_ITERS
             i = i[live[i]]
             iters[i] += 1
             j = _jacobians(rot[i], t[i], model_pts, intrinsics)[0]
@@ -459,7 +451,6 @@ def refine_pose(
     image_points: np.ndarray,
     model: RobotModel,
     intrinsics: CameraIntrinsics,
-    max_iters: int = 50,
 ) -> PnpSolution:
     """Levenberg-Marquardt polish of a closed-form pose candidate.
 
@@ -467,15 +458,16 @@ def refine_pose(
     returns the improved solution. It stops when the gradient is flat,
     when an accepted step lowers the cost by at most 1e-10 of it, when a
     rejected step's damped model predicts no more than that after some
-    step was accepted, or when no damping value lowers the cost any more.
-    Raises DivergedRefinement if no step was ever accepted although the
-    Gauss-Newton model predicts a gain of more than 1e-10 of the cost:
-    the model promised a better pose that no step delivered. Otherwise
-    a pose that no step improves is returned as converged.
+    step was accepted, when no damping value lowers the cost any more, or
+    at the 50th linearization. Raises DivergedRefinement if no step was
+    ever accepted although the Gauss-Newton model predicts a gain of more
+    than 1e-10 of the cost: the model promised a better pose that no step
+    delivered. Otherwise a pose that no step improves is returned as
+    converged.
     """
     img = np.asarray(image_points, dtype=float)
     rot, t = solution.rotation.matrix[None], solution.translation[None]
-    rot, t, rmse, code = _refine(rot, t, img[None], model, intrinsics, max_iters)
+    rot, t, rmse, code = _refine(rot, t, img[None], model, intrinsics)
     if code[0] == _BEHIND:  # the residual names the point
         reprojection_residual(solution.rotation, solution.translation, model.corners(), img, intrinsics)
     _raise(code[0])

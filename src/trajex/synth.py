@@ -147,12 +147,15 @@ def get_scenario(name: str) -> Scenario:
 # route geometry
 
 
-def planned_path(scenario: Scenario, spacing: float = 0.01) -> np.ndarray:
-    """Waypoint route with corners rounded off, resampled by arc length."""
+_SPACING = 0.01  # planned path sample spacing, m
+
+
+def planned_path(scenario: Scenario) -> np.ndarray:
+    """Waypoint route with corners rounded off, resampled every 0.01 m of arc."""
     pts = _fillet_polyline(
         np.asarray(scenario.waypoints, dtype=float), scenario.blend_radius
     )
-    return _resample(pts, spacing)
+    return _resample(pts)
 
 
 def _fillet_polyline(wps: np.ndarray, radius: float) -> np.ndarray:
@@ -194,13 +197,13 @@ def _fillet_polyline(wps: np.ndarray, radius: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _resample(pts: np.ndarray, spacing: float) -> np.ndarray:
+def _resample(pts: np.ndarray) -> np.ndarray:
     pts = np.asarray(pts, dtype=float)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     keep = np.concatenate([[True], seg > 1e-12])
     pts = pts[keep]
     s = _arc_length(pts)
-    grid = np.arange(0.0, s[-1], spacing)
+    grid = np.arange(0.0, s[-1], _SPACING)
     grid = np.append(grid, s[-1])
     x = np.interp(grid, s, pts[:, 0])
     y = np.interp(grid, s, pts[:, 1])
@@ -220,36 +223,26 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def execute(
-    path: np.ndarray,
-    mode: str,
-    speed: float,
-    duration: float,
-    rate: float = 100.0,
-    lookahead: float = 0.2,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drive a planned path; returns (times, xy) of the executed motion.
+_RATE = 100.0  # executor control rate, Hz
+_LOOKAHEAD = 0.2  # pure-pursuit lookahead along the path, m
+
+
+def execute(path: np.ndarray, mode: str, speed: float, duration: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drive a planned path at 100 Hz; returns (times, xy) of the executed motion.
 
     Modes:
-      identity         follow the path exactly at constant speed
-      diff_drive       pure-pursuit unicycle with slow-down at the goal
+      diff_drive       pure-pursuit unicycle (0.2 m lookahead) with slow-down at the goal
       quadruped_proxy  diff_drive plus a speed-scaled lateral gait sway
     """
-    path = np.asarray(path, dtype=float)
-    n = int(round(duration * rate)) + 1
-    times = np.arange(n) / rate
-    s = _arc_length(path)
-
-    if mode == "identity":
-        travel = np.minimum(times * speed, s[-1])
-        x = np.interp(travel, s, path[:, 0])
-        y = np.interp(travel, s, path[:, 1])
-        return times, np.column_stack([x, y])
     if mode not in ("diff_drive", "quadruped_proxy"):
         raise ValueError(f"unknown executor mode '{mode}'")
+    path = np.asarray(path, dtype=float)
+    n = int(round(duration * _RATE)) + 1
+    times = np.arange(n) / _RATE
+    s = _arc_length(path)
 
     goal = path[-1]
-    dt = 1.0 / rate
+    dt = 1.0 / _RATE
     k_slow = 4.0
     omega_max = 2.5
 
@@ -269,7 +262,7 @@ def execute(
             path[i] - pos
         ):
             i += 1
-        s_target = s[i] + lookahead
+        s_target = s[i] + _LOOKAHEAD
         if s_target >= s[-1]:
             target = goal
         else:

@@ -475,14 +475,21 @@ def scene_40(tmp_path_factory):
     + [f"filter.accel_sigma={v}" for v in ("1e-200", "1e150")]
     + ["filter.meas_sigma=1e-200"]
     + [f"filter.init_pos_var={v}" for v in ("1e-300", "1e300")]
-    + [f"filter.init_vel_var={v}" for v in ("1e-300", "1e200", "1e300")],
+    + [f"filter.init_vel_var={v}" for v in ("1e-300", "1e200", "1e300")]
+    + ["filter.meas_sigma=1.2e154", "filter.meas_sigma=1e154,filter.init_pos_var=1.7e308"]
+    + [f"filter.meas_sigma=1e-200,filter.accel_sigma={v}" for v in ("1e-200", "1e-160")],
 )
 def test_extract_sweep_of_steps_and_filter_settings(tmp_path, capsys, scene_40, case):
     # steps: two detections of a static camera, the second box 10 px to the
     # right; after a long gap the track must reach the second measurement,
     # which a lone second row gives exactly. A step whose covariance
-    # overflows is an input error that names the step
-    key, value = case.split("=")
+    # overflows is an input error that names the step. Settings are
+    # comma-separated; a + r near the float maximum must still filter, and
+    # an innovation variance that underflows to 0 is an input error
+    errors = {"step=1e78": "step of 1e+78 s"}
+    for v in ("1e-200", "1e-160"):
+        errors[f"filter.meas_sigma=1e-200,filter.accel_sigma={v}"] = "innovation variance underflows to 0"
+    key, _, value = case.partition("=")
     out = tmp_path / "out"
     if key == "step":
         dets, poses = tmp_path / "det.txt", tmp_path / "poses.txt"
@@ -494,10 +501,11 @@ def test_extract_sweep_of_steps_and_filter_settings(tmp_path, capsys, scene_40, 
         dets.write_text(f"0 0.0 320 240 40 30\n1 {value} 330 240 40 30\n")
     else:
         dets, poses = scene_40 / "detections.txt", scene_40 / "poses.txt"
-        argv = ["extract", "--detections", str(dets), "--poses", str(poses), "--set", case]
+        argv = ["extract", "--detections", str(dets), "--poses", str(poses)]
+        argv += [arg for setting in case.split(",") for arg in ("--set", setting)]
     code, _, err = run([*argv, "--out-dir", str(out)], capsys)
-    if case == "step=1e78":
-        assert code == 2 and "step of 1e+78 s" in err
+    if case in errors:
+        assert code == 2 and errors[case] in err
         return
     assert code == 0, err
     traj = read_trajectory(out / "trajectory.txt")

@@ -8,13 +8,10 @@ from trajex.geometry import (
     CAMERA,
     WORLD,
     CameraIntrinsics,
-    Pixel,
     Point3,
     RigidTransform,
     Rotation,
-    compose,
     invert,
-    project,
     project_points,
     skew,
     transform_point,
@@ -117,27 +114,16 @@ def test_point3_requires_finite():
         Point3(np.array([1.0, np.nan, 0.0]))
 
 
-def test_compose_oracle():
-    # 90 deg yaw then shift: p=(1,0,0) -> rotates to (0,1,0) -> +(1,1,0)
-    a = RigidTransform(
-        Rotation.from_axis_angle([0, 0, 1.0], np.pi / 2), np.array([1.0, 1.0, 0.0])
-    )
-    b = RigidTransform(Rotation.identity(), np.zeros(3))
-    ab = compose(a, b)
-    np.testing.assert_allclose(
-        ab.rotation.apply([1.0, 0.0, 0.0]) + ab.translation,
-        [1.0, 2.0, 0.0],
-        atol=1e-15,
-    )
-
-
 def test_invert_round_trip():
+    # t^-1 (t (p)) = p, and the inverse's rotation is R' with translation -R't
     rng = np.random.default_rng(19)
     for _ in range(30):
         t = RigidTransform(Rotation.from_rotvec(rng.normal(size=3)), rng.normal(size=3))
-        ident = compose(t, invert(t))
-        np.testing.assert_allclose(ident.rotation.matrix, np.eye(3), atol=1e-13)
-        np.testing.assert_allclose(ident.translation, 0.0, atol=1e-13)
+        inv = invert(t)
+        np.testing.assert_allclose(inv.rotation.matrix @ t.rotation.matrix, np.eye(3), atol=1e-13)
+        np.testing.assert_allclose(inv.rotation.apply(t.translation) + inv.translation, 0.0, atol=1e-13)
+        p = Point3(rng.normal(size=3))
+        np.testing.assert_allclose(transform_point(inv, transform_point(t, p)).xyz, p.xyz, atol=1e-13)
 
 
 def test_transform_point_checks_frames():
@@ -166,48 +152,31 @@ def test_intrinsics_validation():
 def test_projection_oracle():
     # fx=500, cx=320: X=(0.5, 0, 1) lands at u = 320 + 500*0.5 = 570
     k = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-    px = project(k, np.array([0.5, 0.0, 1.0]))
-    assert isinstance(px, Pixel)
-    np.testing.assert_allclose([px.u, px.v], [570.0, 240.0], atol=1e-12)
+    uv = project_points(k, np.array([[0.5, 0.0, 1.0]]))
+    assert uv.shape == (1, 2)
+    np.testing.assert_allclose(uv[0], [570.0, 240.0], atol=1e-12)
 
 
 def test_projection_rejects_points_behind_camera():
     k = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-    with pytest.raises(PointBehindCamera):
-        project(k, np.array([0.0, 0.0, -1.0]))
-    with pytest.raises(PointBehindCamera):
-        project(k, np.array([0.0, 0.0, 0.0]))
+    with pytest.raises(PointBehindCamera, match="point 1 has depth -1"):
+        project_points(k, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    with pytest.raises(PointBehindCamera, match="point 0 has depth 0"):
+        project_points(k, np.array([[0.0, 0.0, 0.0]]))
 
 
 def test_project_points_matches_scalar_projection():
+    # each row is the pinhole formula u = fx x/z + cx, v = fy y/z + cy on its own
     k = CameraIntrinsics(fx=430.0, fy=415.0, cx=311.0, cy=243.5)
     rng = np.random.default_rng(23)
     pts = rng.uniform([-1, -1, 0.5], [1, 1, 5.0], size=(40, 3))
     uv = project_points(k, pts)
-    for i, p in enumerate(pts):
-        px = project(k, p)
-        np.testing.assert_allclose(uv[i], [px.u, px.v], atol=1e-12)
-
-
-def test_normalize_denormalize_round_trip():
-    k = CameraIntrinsics(fx=430.0, fy=415.0, cx=311.0, cy=243.5)
-    rng = np.random.default_rng(29)
-    for _ in range(25):
-        px = Pixel(rng.uniform(0, 640), rng.uniform(0, 480))
-        back = k.denormalize(k.normalize(px))
-        np.testing.assert_allclose([back.u, back.v], [px.u, px.v], atol=1e-10)
-
-
-def test_compose_pure_translations_add():
-    a = RigidTransform(Rotation.identity(), np.array([1.0, 0.0, 0.0]))
-    b = RigidTransform(Rotation.identity(), np.array([0.0, 2.0, 0.0]))
-    ab = compose(a, b)
-    np.testing.assert_allclose(ab.translation, [1.0, 2.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(ab.rotation.matrix, np.eye(3), atol=1e-15)
+    for i, (x, y, z) in enumerate(pts):
+        np.testing.assert_allclose(uv[i], [430.0 * x / z + 311.0, 415.0 * y / z + 243.5], atol=1e-12)
 
 
 def test_invert_identity_and_translation():
-    ident = invert(RigidTransform.identity())
+    ident = invert(RigidTransform(Rotation.identity(), np.zeros(3)))
     np.testing.assert_allclose(ident.translation, 0.0, atol=1e-15)
     np.testing.assert_allclose(ident.rotation.matrix, np.eye(3), atol=1e-15)
     t = invert(RigidTransform(Rotation.identity(), np.array([1.0, 2.0, 3.0])))
@@ -224,19 +193,21 @@ def test_invert_is_involutive():
 
 
 def test_compose_then_transform_matches_chained():
+    # the product transform (Ra Rb, Ra tb + ta) maps a point as b then a do
     rng = np.random.default_rng(37)
     for _ in range(30):
         a = RigidTransform(Rotation.from_rotvec(rng.normal(size=3)), rng.normal(size=3))
         b = RigidTransform(Rotation.from_rotvec(rng.normal(size=3)), rng.normal(size=3))
+        ab = RigidTransform(a.rotation @ b.rotation, a.rotation.apply(b.translation) + a.translation)
         p = Point3(rng.normal(size=3))
-        joint = transform_point(compose(a, b), p)
+        joint = transform_point(ab, p)
         chained = transform_point(a, transform_point(b, p))
         np.testing.assert_allclose(joint.xyz, chained.xyz, atol=1e-12)
 
 
 def test_transform_point_special_cases():
     p = Point3(np.array([1.0, 0.0, 0.0]))
-    ident = transform_point(RigidTransform.identity(), p)
+    ident = transform_point(RigidTransform(Rotation.identity(), np.zeros(3)), p)
     np.testing.assert_allclose(ident.xyz, [1.0, 0.0, 0.0], atol=1e-15)
     shift = RigidTransform(Rotation.identity(), np.array([0.0, 0.0, 5.0]))
     np.testing.assert_allclose(
@@ -252,24 +223,19 @@ def test_transform_point_special_cases():
 
 def test_unit_intrinsics_project_to_normalized_coords():
     k = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
-    px = project(k, np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose([px.u, px.v], [0.0, 0.0], atol=1e-15)
-    px = project(k, np.array([2.0, -1.0, 4.0]))
-    np.testing.assert_allclose([px.u, px.v], [0.5, -0.25], atol=1e-15)
+    uv = project_points(k, np.array([[0.0, 0.0, 1.0], [2.0, -1.0, 4.0]]))
+    np.testing.assert_allclose(uv, [[0.0, 0.0], [0.5, -0.25]], atol=1e-15)
 
 
 def test_projection_depth_oracle():
     k = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0)
-    px = project(k, np.array([1.0, 0.0, 2.0]))
-    np.testing.assert_allclose([px.u, px.v], [570.0, 240.0], atol=1e-12)
+    uv = project_points(k, np.array([[1.0, 0.0, 2.0]]))
+    np.testing.assert_allclose(uv[0], [570.0, 240.0], atol=1e-12)
 
 
 def test_projection_scales_with_intrinsics():
     k1 = CameraIntrinsics(fx=400.0, fy=350.0, cx=320.0, cy=240.0)
     k2 = CameraIntrinsics(fx=800.0, fy=700.0, cx=640.0, cy=480.0)
     rng = np.random.default_rng(41)
-    for _ in range(20):
-        p = rng.uniform([-1, -1, 0.5], [1, 1, 5.0])
-        a = project(k1, p)
-        b = project(k2, p)
-        np.testing.assert_allclose([b.u, b.v], [2.0 * a.u, 2.0 * a.v], atol=1e-9)
+    pts = rng.uniform([-1, -1, 0.5], [1, 1, 5.0], size=(20, 3))
+    np.testing.assert_allclose(project_points(k2, pts), 2.0 * project_points(k1, pts), atol=1e-9)

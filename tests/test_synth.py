@@ -88,18 +88,6 @@ def test_planned_path_shortcuts_corners():
     assert np.min(np.linalg.norm(path - mid, axis=1)) < sc.blend_radius
 
 
-def test_execute_identity_reaches_goal_exactly():
-    sc = get_scenario("ugv_red")
-    path = planned_path(sc)
-    times, xy = execute(path, "identity", sc.speed, sc.duration)
-    assert times[0] == 0.0
-    np.testing.assert_allclose(xy[0], sc.start, atol=1e-9)
-    np.testing.assert_allclose(xy[-1], sc.goal, atol=1e-9)
-    # constant speed while moving
-    seg = np.linalg.norm(np.diff(xy[:100], axis=0), axis=1)
-    np.testing.assert_allclose(seg, sc.speed / 100.0, rtol=1e-6)
-
-
 def test_execute_diff_drive_parks_at_goal():
     sc = get_scenario("ugv_red")
     path = planned_path(sc)
@@ -123,8 +111,9 @@ def test_execute_quadruped_sways():
 
 def test_execute_rejects_unknown_mode():
     sc = get_scenario("ugv_red")
-    with pytest.raises(ValueError, match="unknown executor"):
-        execute(planned_path(sc), "warp", sc.speed, sc.duration)
+    for mode in ("warp", "identity"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            execute(planned_path(sc), mode, sc.speed, sc.duration)
 
 
 def test_simulate_first_frame_box_oracle():

@@ -212,8 +212,7 @@ def test_compute_metrics_failure_case():
 
 
 def test_to_world_identity_pose_passes_through():
-    cam = RigidTransform.identity()
-    cam = RigidTransform(cam.rotation, cam.translation, frame_from=CAMERA, frame_to=WORLD)
+    cam = RigidTransform(Rotation.identity(), np.zeros(3), frame_from=CAMERA, frame_to=WORLD)
     p = to_world(Point3(np.array([0.3, -0.1, 2.0]), frame=CAMERA), cam)
     np.testing.assert_allclose(p.xyz, [0.3, -0.1, 2.0], atol=1e-15)
 
