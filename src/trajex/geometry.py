@@ -22,6 +22,7 @@ WORLD = "world"
 CAMERA = "camera"
 
 _ORTHO_TOL = 1e-9
+_I3 = np.eye(3)
 _QUAT_TOL = 1e-6  # largest accepted |norm - 1| of a quaternion
 
 
@@ -51,12 +52,9 @@ class Rotation:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("rotation matrix has non-finite entries")
-        if np.max(np.abs(m.T @ m - np.eye(3))) > _ORTHO_TOL:
-            raise ValueError("matrix is not orthonormal")
-        if np.linalg.det(m) < 0.0:
-            raise ValueError("matrix is a reflection, not a rotation")
+        fault = _rotation_faults(m[None])[0]
+        if fault:
+            raise ValueError(_ROTATION_FAULTS[fault])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -88,18 +86,10 @@ class Rotation:
         q = np.asarray(q, dtype=float)
         if q.shape != (4,):
             raise ValueError(f"quaternion must have 4 components, got {q.shape}")
-        n = np.linalg.norm(q)
-        if abs(n - 1.0) > _QUAT_TOL:
-            raise DenormalizedQuaternion(f"quaternion norm {n:.6g} not within {_QUAT_TOL} of 1")
-        x, y, z, w = q / n
-        m = np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-                [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-                [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-        return Rotation(_orthonormalize(m))
+        n, bad, m = _quat_rotations(q[None])
+        if bad[0]:
+            raise DenormalizedQuaternion(f"quaternion norm {n[0]:.6g} not within {_QUAT_TOL} of 1")
+        return Rotation(m[0])
 
     def to_quaternion(self) -> np.ndarray:
         """Matrix to unit quaternion (x, y, z, w), w >= 0.
@@ -176,6 +166,44 @@ def _orthonormalize(m: np.ndarray) -> np.ndarray:
     u, _, vt = np.linalg.svd(m)
     u[..., :, 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
     return u @ vt
+
+
+# Rotation's checks in order; _rotation_faults gives a matrix the index of the first it fails
+_ROTATION_FAULTS = (None, "rotation matrix has non-finite entries", "matrix is not orthonormal",
+                    "matrix is a reflection, not a rotation")
+
+
+def _rotation_faults(m: np.ndarray) -> np.ndarray:
+    """Fault codes (...,) of a stack (..., 3, 3), 0 for a proper rotation."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():  # no product or LAPACK call sees a non-finite matrix
+        code = _rotation_faults(np.where(finite[..., None, None], m, _I3))
+        code[~finite] = 1
+        return code
+    bad = np.abs(m.swapaxes(-1, -2) @ m - _I3).max(axis=(-2, -1)) > _ORTHO_TOL
+    return np.where(bad, 2, 3 * (np.linalg.det(m) < 0.0))
+
+
+def _quat_rotations(q: np.ndarray):
+    """Norms (N,), norm faults (N,) and orthonormalized matrices (N, 3, 3) of quaternions
+    (N, 4) (x, y, z, w) divided by their norms, the identity where the norm fails. The
+    norms have the bits of np.linalg.norm."""
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and fails
+        n = np.sqrt((q[:, None, :] @ q[:, :, None])[:, 0, 0])
+    bad = ~(np.abs(n - 1.0) <= _QUAT_TOL)
+    x, y, z, w = np.where(bad[:, None], (0.0, 0.0, 0.0, 1.0), q / np.where(bad, 1.0, n)[:, None]).T
+    m = np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+                  2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+                  2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)], axis=1)
+    return n, bad, _orthonormalize(m.reshape(-1, 3, 3))
+
+
+def _unchecked(cls, **fields):
+    """A frozen dataclass holding fields that are already checked, built without __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():  # as the dataclass __init__ sets them, with no __dict__ built
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)

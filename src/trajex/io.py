@@ -14,12 +14,16 @@ reproduces values bit for bit.
 
 Readers accept a filesystem path or any iterable file-like object;
 writers accept a path (written atomically via a temp file and rename)
-or an open file-like object.
+or an open file-like object. The detection and pose readers check a file
+as a whole, each check once over all rows, and report the first faulty
+line with the error that line gives on its own.
 """
 
 from __future__ import annotations
 
+import math
 import os
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,9 +37,10 @@ from .errors import (
     ParseError,
 )
 from .geometry import CAMERA, WORLD, CameraIntrinsics, RigidTransform, Rotation
+from .geometry import _quat_rotations, _rotation_faults, _unchecked
 from .geometry import invert as _invert
 from .kalman import FilterParams
-from .pnp import BoundingBox, RobotModel
+from .pnp import _BOX_FAULTS, BoundingBox, RobotModel, _box_faults
 from .trajectory import GroundTrack, NavMetrics, Trajectory
 
 
@@ -114,7 +119,7 @@ def _parse_float(token: str, name: str, lineno: int, what: str) -> float:
         v = float(token)
     except ValueError:
         raise ParseError(f"bad {what} '{token}'", source=name, line=lineno) from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ParseError(f"{what} must be finite, got '{token}'", source=name, line=lineno)
     return v
 
@@ -130,63 +135,66 @@ def read_detections(source) -> list[DetectionRecord]:
     frames with linearly interpolated timestamps so downstream code
     sees one record per frame.
     """
-    records: list[DetectionRecord] = []
-    for name, lineno, line in _iter_lines(source):
-        tok = line.split()
-        if len(tok) < 3:
-            raise ParseError("expected at least 3 fields", source=name, line=lineno)
-        try:
-            idx = int(tok[0])
-        except ValueError:
-            raise ParseError(f"bad frame index '{tok[0]}'", source=name, line=lineno) from None
-        t = _parse_float(tok[1], name, lineno, "timestamp")
-        if tok[2] == "missing":
-            if len(tok) != 3:
-                raise ParseError("'missing' takes no further fields", source=name, line=lineno)
-            rec = DetectionRecord(idx, t)
-        elif len(tok) in (6, 7):
-            cx, cy, w, h = (_parse_float(tok[i], name, lineno, "box field") for i in range(2, 6))
-            conf = _parse_float(tok[6], name, lineno, "confidence") if len(tok) == 7 else None
-            try:
-                box = BoundingBox(cx, cy, w, h)
-            except ValueError as e:
-                raise ParseError(str(e), source=name, line=lineno) from None
-            rec = DetectionRecord(idx, t, box, conf)
-        else:
-            raise ParseError(
-                f"expected 'idx t cx cy w h [conf]' or 'idx t missing', got {len(tok)} fields",
-                source=name,
-                line=lineno,
-            )
-        if records:
-            prev = records[-1]
-            if rec.frame_index <= prev.frame_index:
-                raise NonMonotonicFrames(
-                    f"frame index {rec.frame_index} after {prev.frame_index} (line {lineno})"
-                )
-            if rec.timestamp <= prev.timestamp:
-                raise NonMonotonicTimestamps(
-                    f"timestamp {rec.timestamp} after {prev.timestamp} (line {lineno})"
-                )
-        records.append(rec)
-    return _fill_frame_gaps(records)
+    return _read_rows(source, 6, _detection_row, _detections)
 
 
-def _fill_frame_gaps(records: list[DetectionRecord]) -> list[DetectionRecord]:
+def _read_rows(source, width: int, parse, check):
+    """check(linenos, keys, values (N, width), name) of the (key, values) that
+    parse(tokens, name, lineno) gives each line of source. A line that parse rejects
+    is reported only if check finds no fault on an earlier line."""
+    linenos, keys, vals, name = [], [], array("d"), _source_name(source)
+    try:
+        for name, lineno, line in _iter_lines(source):
+            key, row = parse(line.split(), name, lineno)
+            linenos.append(lineno)
+            keys.append(key)
+            vals.extend(row)
+    except ParseError:
+        check(linenos, keys, np.array(vals).reshape(-1, width), name)
+        raise
+    return check(linenos, keys, np.array(vals).reshape(-1, width), name)
+
+
+def _detection_row(tok: list, name: str, lineno: int) -> tuple:
+    """The frame index and (t, cx, cy, w, h, confidence) of a detection line, NaN where absent."""
+    if len(tok) < 3:
+        raise ParseError("expected at least 3 fields", source=name, line=lineno)
+    try:
+        idx = int(tok[0])
+    except ValueError:
+        raise ParseError(f"bad frame index '{tok[0]}'", source=name, line=lineno) from None
+    t = _parse_float(tok[1], name, lineno, "timestamp")
+    if tok[2] == "missing":
+        if len(tok) != 3:
+            raise ParseError("'missing' takes no further fields", source=name, line=lineno)
+        return idx, (t, math.nan, math.nan, math.nan, math.nan, math.nan)
+    if len(tok) not in (6, 7):
+        msg = f"expected 'idx t cx cy w h [conf]' or 'idx t missing', got {len(tok)} fields"
+        raise ParseError(msg, source=name, line=lineno)
+    box = [_parse_float(v, name, lineno, "box field") for v in tok[2:6]]
+    return idx, [t, *box, _parse_float(tok[6], name, lineno, "confidence") if len(tok) == 7 else math.nan]
+
+
+def _detections(linenos: list, idx: list, vals: np.ndarray, name: str) -> list[DetectionRecord]:
+    """Records of parsed detection rows, one per frame, checked as one stack; raises the
+    error of the first faulty row."""
+    t, boxes, present = vals[:, 0], vals[:, 1:5], ~np.isnan(vals[:, 1])
+    box_fault = np.where(present, _box_faults(np.where(present[:, None], boxes, 1.0)), 0)
+    frame_late = np.array([False] + [b <= a for a, b in zip(idx, idx[1:])])
+    for k in np.flatnonzero(box_fault | frame_late | np.append(False, t[1:] <= t[:-1]))[:1]:
+        if box_fault[k]:
+            msg = _BOX_FAULTS[box_fault[k]].format(*boxes[k, 2:].tolist())
+            raise ParseError(msg, source=name, line=linenos[k])
+        if frame_late[k]:
+            raise NonMonotonicFrames(f"frame index {idx[k]} after {idx[k - 1]} (line {linenos[k]})")
+        raise NonMonotonicTimestamps(f"timestamp {float(t[k])} after {float(t[k - 1])} (line {linenos[k]})")
     out: list[DetectionRecord] = []
-    for rec in records:
-        if out:
-            prev = out[-1]
-            span = rec.frame_index - prev.frame_index
-            for k in range(1, span):
-                frac = k / span
-                out.append(
-                    DetectionRecord(
-                        frame_index=prev.frame_index + k,
-                        timestamp=prev.timestamp + frac * (rec.timestamp - prev.timestamp),
-                    )
-                )
-        out.append(rec)
+    for i, (ti, cx, cy, w, h, c) in zip(idx, vals.tolist()):
+        if out:  # a gap is filled with missing frames at interpolated times
+            i0, t0 = out[-1].frame_index, out[-1].timestamp
+            out += (DetectionRecord(i0 + k, t0 + k / (i - i0) * (ti - t0)) for k in range(1, i - i0))
+        box = None if math.isnan(cx) else _unchecked(BoundingBox, cx=cx, cy=cy, w=w, h=h)
+        out.append(DetectionRecord(i, ti, box, None if math.isnan(c) else c))
     return out
 
 
@@ -220,24 +228,36 @@ def read_camera_poses(source) -> list[CameraPoseRecord]:
     Each row is the camera's pose in the world frame. Timestamps must
     strictly increase and quaternions must be unit length within 1e-6.
     """
-    records: list[CameraPoseRecord] = []
-    for name, lineno, line in _iter_lines(source):
-        tok = line.split()
-        if len(tok) != 8:
-            raise ParseError(f"expected 8 fields, got {len(tok)}", source=name, line=lineno)
-        vals = [_parse_float(tok[i], name, lineno, "pose field") for i in range(8)]
-        t, tx, ty, tz = vals[:4]
-        try:
-            rot = Rotation.from_quaternion(np.array(vals[4:]))
+    return _read_rows(source, 8, _pose_row, _poses)
+
+
+def _pose_row(tok: list, name: str, lineno: int) -> tuple:
+    if len(tok) != 8:
+        raise ParseError(f"expected 8 fields, got {len(tok)}", source=name, line=lineno)
+    return None, [_parse_float(v, name, lineno, "pose field") for v in tok]
+
+
+def _poses(linenos: list, _, vals: np.ndarray, name: str) -> list[CameraPoseRecord]:
+    """Records of parsed pose rows, checked as one stack; raises the error of the first
+    faulty row."""
+    t = vals[:, 0]
+    _, bad, rot = _quat_rotations(vals[:, 4:])
+    bad |= _rotation_faults(rot) != 0
+    for k in np.flatnonzero(bad | np.append(False, t[1:] <= t[:-1]))[:1]:
+        try:  # a row that fails a check fails it again alone
+            Rotation.from_quaternion(vals[k, 4:])
         except DenormalizedQuaternion as e:
-            raise DenormalizedQuaternion(f"{name}:{lineno}: {e}") from None
-        if records and t <= records[-1].timestamp:
-            raise NonMonotonicTimestamps(
-                f"timestamp {t} after {records[-1].timestamp} (line {lineno})"
-            )
-        pose = RigidTransform(rot, np.array([tx, ty, tz]), frame_from=CAMERA, frame_to=WORLD)
-        records.append(CameraPoseRecord(t, pose))
-    return records
+            raise DenormalizedQuaternion(f"{name}:{linenos[k]}: {e}") from None
+        raise NonMonotonicTimestamps(f"timestamp {float(t[k])} after {float(t[k - 1])} (line {linenos[k]})")
+    block = np.empty((len(vals), 12))  # R and t in one long-lived allocation per file
+    block[:, :9], block[:, 9:] = rot.reshape(-1, 9), vals[:, 1:4]
+    block.flags.writeable = False
+    rot, trans = block[:, :9].reshape(-1, 3, 3), block[:, 9:]
+    return [
+        CameraPoseRecord(ti, _unchecked(RigidTransform, rotation=_unchecked(Rotation, matrix=r),
+                                        translation=x, frame_from=CAMERA, frame_to=WORLD))
+        for ti, r, x in zip(t.tolist(), rot, trans)
+    ]
 
 
 def write_camera_poses(records, target):

@@ -29,7 +29,8 @@ is an InputError too.
 
 The filter initializes lazily at the first available measurement
 (velocity zero). Frames before that point carry no estimate; dropped
-detections after it are bridged by prediction alone.
+detections after it are bridged by prediction alone. The samples are
+built from the rows that the check above has passed, not checked again.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import (
     NonPositiveDt,
     SingularInnovation,
 )
-from .geometry import CAMERA, Point3
+from .geometry import CAMERA, Point3, _unchecked
 
 _PSD_TOL = 1e-9  # relative to max(1, largest eigenvalue)
 
@@ -224,7 +225,11 @@ def run_filter(measurements, params: FilterParams | None = None) -> list[Filtere
             n += 1
     finally:  # on an error too: a bad state is reported before what it broke later
         _check_states(states[:n])
+    rows = states[out]  # checked above: the samples hold read-only views of them
+    rows.flags.writeable = False
     return [FilteredSample(m.timestamp, None, None, False) for m in measurements[:first]] + [
-        FilteredSample(m.timestamp, Point3(row[:3], frame=CAMERA), row[3:6], m.position is not None)
-        for m, row in zip(measurements[first:], states[out])
+        _unchecked(FilteredSample, timestamp=m.timestamp,
+                   position=_unchecked(Point3, xyz=row[:3], frame=CAMERA),
+                   velocity=row[3:6], from_measurement=m.position is not None)
+        for m, row in zip(measurements[first:], rows)
     ]

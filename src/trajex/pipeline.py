@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptySequence, PipelineError
+from .geometry import _unchecked
 from .io import FrameObservation, PipelineConfig
 from .kalman import FilteredSample, Measurement, run_filter
 from .pnp import _positions
@@ -17,6 +20,21 @@ from .trajectory import GroundTrack, Trajectory, build_trajectory, project_groun
 
 
 _CHUNK = 512  # frames per stacked pose solve
+
+
+def _measurements(observations: list[FrameObservation], config: PipelineConfig) -> list[Measurement]:
+    """A Measurement per observation, from one stacked pose solve of the detected frames, in
+    chunks that bound its memory; a frame it cannot solve is bridged like a dropout."""
+    if not np.isfinite([obs.timestamp for obs in observations]).all():  # Measurement's check, once
+        raise ValueError("timestamp must be finite")
+    model, intrinsics, refine = config.robot(), config.camera(), bool(config["pnp.refine"])
+    boxes = [obs.bbox for obs in observations if obs.bbox is not None]
+    starts = range(0, len(boxes), _CHUNK)
+    found = (z for i in starts for z in _positions(boxes[i : i + _CHUNK], model, intrinsics, refine))
+    return [  # a solved row is finite
+        _unchecked(Measurement, timestamp=obs.timestamp, position=None if obs.bbox is None else next(found))
+        for obs in observations
+    ]
 
 
 @dataclass(frozen=True)
@@ -46,18 +64,7 @@ def extract_trajectory(
     Raises PipelineError when not a single frame yields a usable
     position measurement.
     """
-    intrinsics = config.camera()
-    model = config.robot()
-    refine = bool(config["pnp.refine"])
-
-    # all detected frames go through one stacked pose solve, in chunks that
-    # bound its memory; a frame it cannot solve is bridged like a dropout
-    boxes = [obs.bbox for obs in observations if obs.bbox is not None]
-    starts = range(0, len(boxes), _CHUNK)
-    found = (z for i in starts for z in _positions(boxes[i : i + _CHUNK], model, intrinsics, refine))
-    measurements = [
-        Measurement(obs.timestamp, next(found) if obs.bbox is not None else None) for obs in observations
-    ]
+    measurements = _measurements(observations, config)
     poses = [obs.camera_pose for obs in observations]
 
     try:
@@ -73,6 +80,6 @@ def extract_trajectory(
         measurements=measurements,
         samples=samples,
         frames_total=len(observations),
-        frames_detected=len(boxes),
+        frames_detected=sum(obs.bbox is not None for obs in observations),
         frames_solved=sum(m.position is not None for m in measurements),
     )

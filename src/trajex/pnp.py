@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, DivergedRefinement, NoValidPose, PointBehindCamera
-from .geometry import _MIN_DEPTH, _ORTHO_TOL, _SKEW, CAMERA, CameraIntrinsics, Point3, Rotation
-from .geometry import _check_depths, _orthonormalize, _rodrigues
+from .geometry import _MIN_DEPTH, _ROTATION_FAULTS, _SKEW, CAMERA, CameraIntrinsics, Point3, Rotation
+from .geometry import _check_depths, _orthonormalize, _rodrigues, _rotation_faults
 
 # refine_pose stops once an accepted step lowers the cost by at most this
 # fraction of it (MINPACK's relative-reduction test), or at its _MAX_ITERS-th
@@ -44,8 +44,7 @@ _FAILS = (
     (DegenerateConfiguration, "model origin maps to infinity"),
     (DegenerateConfiguration, "bearing rotation leaves no invertible 2x2 system"),
     (DegenerateConfiguration, "homography Jacobian vanishes at the origin"),
-    (ValueError, "matrix is not orthonormal"),
-    (ValueError, "matrix is a reflection, not a rotation"),
+    *((ValueError, msg) for msg in _ROTATION_FAULTS[1:]),
     (ValueError, "solution must place the object in front of the camera"),
     (ValueError, "rmse must be finite and non-negative"),
     (NoValidPose, "no pose candidate places the face in front of the camera"),
@@ -67,16 +66,26 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        for name in ("cx", "cy", "w", "h"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError("bounding box fields must be finite")
-            object.__setattr__(self, name, v)
-        if self.w <= 0.0 or self.h <= 0.0:
-            raise ValueError(f"bounding box must have positive size, got {self.w}x{self.h}")
-        hw, hh = self.w / 2.0, self.h / 2.0
-        if not np.all(np.isfinite([self.cx - hw, self.cx + hw, self.cy - hh, self.cy + hh])):
-            raise ValueError("bounding box corners must be finite")
+        v = [float(getattr(self, name)) for name in ("cx", "cy", "w", "h")]
+        fault = _box_faults(np.array([v]))[0]
+        if fault:
+            raise ValueError(_BOX_FAULTS[fault].format(*v[2:]))
+        for name, x in zip(("cx", "cy", "w", "h"), v):
+            object.__setattr__(self, name, x)
+
+
+# BoundingBox's checks in order; _box_faults gives a box the index of the first it fails
+_BOX_FAULTS = (None, "bounding box fields must be finite", "bounding box must have positive size, got {}x{}",
+               "bounding box corners must be finite")
+
+
+def _box_faults(boxes: np.ndarray) -> np.ndarray:
+    """Fault codes (N,) of boxes (N, 4) (cx, cy, w, h), 0 for a valid box."""
+    # c - s/2 and c + s/2 (s > 0) are both finite exactly when |c| + s/2 is
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = np.isfinite(np.abs(boxes[:, :2]) + boxes[:, 2:] / 2.0).all(axis=1)
+    size = np.where((boxes[:, 2:] > 0.0).all(axis=1), 3 * ~corners, 2)
+    return np.where(np.isfinite(boxes).all(axis=1), size, 1)
 
 
 @dataclass(frozen=True)
@@ -261,11 +270,10 @@ def _ippe(img: np.ndarray, model: RobotModel, intrinsics: CameraIntrinsics):
     bottom = r0[..., [1, 2, 0]] * r1[..., [2, 0, 1]] - r0[..., [2, 0, 1]] * r1[..., [1, 2, 0]]
     rot = rv[:, None] @ _orthonormalize(np.concatenate([top, bottom[:, :, None]], axis=2))
     exists = np.stack([np.ones(n, dtype=bool), lam != 0.0], axis=1)  # lam == 0: one rotation
-    err = np.abs(rot.swapaxes(-1, -2) @ rot - np.eye(3)).max(axis=(-2, -1))
-    det = np.linalg.det(rot)
+    fault = _rotation_faults(rot)
     for k in range(2):  # Rotation's own tests
-        _fail(code, exists[:, k] & ~(err[:, k] <= _ORTHO_TOL), "matrix is not orthonormal")
-        _fail(code, exists[:, k] & (det[:, k] < 0.0), "matrix is a reflection, not a rotation")
+        for f in range(1, len(_ROTATION_FAULTS)):
+            _fail(code, exists[:, k] & (fault[:, k] == f), _ROTATION_FAULTS[f])
 
     # least-squares translation per candidate: each point gives x/z = p and
     # y/z = q, two rows [1 0 -p] and [0 1 -q], solved by their normal equations
@@ -392,6 +400,7 @@ def _positions(bboxes: list, model: RobotModel, intrinsics: CameraIntrinsics, re
     fatal = code[np.isin(code, _FATAL)]
     if fatal.size:
         _raise(fatal[0])
+    t.flags.writeable = False  # a solved row is finite: its rmse was
     return [None if c else z for z, c in zip(t, code)]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import RobotOutsideFrustum, UnknownScenario
-from .geometry import CAMERA, WORLD, RigidTransform, Rotation, invert, project_points
+from .geometry import CAMERA, WORLD, RigidTransform, Rotation, _unchecked, invert, project_points
 from .io import (
     CameraPoseRecord,
     DetectionRecord,
@@ -33,7 +33,7 @@ from .io import (
     default_config,
 )
 from .pipeline import ExtractionResult, extract_trajectory
-from .pnp import BoundingBox
+from .pnp import _BOX_FAULTS, BoundingBox, _box_faults
 from .trajectory import GroundTrack, NavMetrics, compute_metrics, path_length
 
 
@@ -356,6 +356,7 @@ def simulate(
     rng = np.random.default_rng(seed)
     frames: list[DetectionRecord] = []
     poses: list[CameraPoseRecord] = []
+    boxes = []  # (frame, cx, cy, w, h, confidence) of each detected frame
     for k in range(n_frames):
         # fixed draw order, every frame, independent of outcomes
         pose_g = rng.standard_normal(6)
@@ -390,15 +391,18 @@ def simulate(
         right = 0.5 * (uj[1] + uj[2])
         top = 0.5 * (vj[0] + vj[1])
         bottom = 0.5 * (vj[2] + vj[3])
-        box = BoundingBox(
-            cx=0.5 * (left + right),
-            cy=0.5 * (top + bottom),
-            w=right - left,
-            h=bottom - top,
-        )
         conf = float(np.clip(0.9 + 0.05 * conf_g, 0.0, 1.0))
-        frames.append(DetectionRecord(k, float(frame_times[k]), box, conf))
+        boxes.append((k, 0.5 * (left + right), 0.5 * (top + bottom), right - left, bottom - top, conf))
+        frames.append(None)
 
+    # BoundingBox's checks, run once over all boxes
+    vals = np.array([b[1:5] for b in boxes]).reshape(-1, 4)
+    fault = _box_faults(vals)
+    for i in np.flatnonzero(fault)[:1]:
+        raise ValueError(_BOX_FAULTS[fault[i]].format(*vals[i, 2:].tolist()))
+    for (k, *_, conf), (cx, cy, w, h) in zip(boxes, vals.tolist()):
+        box = _unchecked(BoundingBox, cx=cx, cy=cy, w=w, h=h)
+        frames[k] = DetectionRecord(k, float(frame_times[k]), box, conf)
     return SimulatedScene(scenario, frames, poses, truth, cam_pose)
 
 

@@ -239,3 +239,20 @@ def test_projection_scales_with_intrinsics():
     rng = np.random.default_rng(41)
     pts = rng.uniform([-1, -1, 0.5], [1, 1, 5.0], size=(20, 3))
     np.testing.assert_allclose(project_points(k2, pts), 2.0 * project_points(k1, pts), atol=1e-9)
+
+
+def test_rotation_faults_of_a_stack_match_each_matrix():
+    from trajex.geometry import _ROTATION_FAULTS, _rotation_faults
+
+    good = Rotation.from_rotvec(np.array([0.3, -0.2, 1.1])).matrix
+    bad = [np.eye(3) * 1.001, np.diag([1.0, 1.0, -1.0]), np.full((3, 3), np.nan), good * np.inf]
+    mats = np.array([good, *bad, np.eye(3)])
+    codes = _rotation_faults(mats)
+    assert codes.tolist() == [0, 2, 3, 1, 1, 0]
+    assert _rotation_faults(mats.reshape(2, 3, 3, 3)).ravel().tolist() == codes.tolist()
+    for m, code in zip(mats, codes):
+        if code:
+            with pytest.raises(ValueError, match=f"^{_ROTATION_FAULTS[code]}$"):
+                Rotation(m)
+        else:
+            assert Rotation(m).matrix.tobytes() == m.tobytes()

@@ -384,3 +384,100 @@ def test_single_sample_trajectory_writes_one_line(tmp_path):
     back = read_trajectory(path)
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.positions, traj.positions)
+
+
+# A file is checked as a whole: the first faulty line is reported, whatever
+# kind of fault a later line has.
+
+POSE_ROW = "{t} 1.0 2.0 3.0 0.0 0.0 0.0 1.0"
+
+
+def pose_text(times, replace=None):
+    rows = [POSE_ROW.format(t=t) for t in times]
+    for lineno, row in (replace or {}).items():
+        rows[lineno - 1] = row
+    return io.StringIO("\n".join(rows) + "\n")
+
+
+def test_pose_file_reports_bad_quaternion_before_later_bad_float():
+    text = pose_text([0.0, 0.1, 0.2, 0.3], {2: "0.1 0 0 0 0 0 0 1.1", 4: "0.3 0 0 x 0 0 0 1"})
+    with pytest.raises(DenormalizedQuaternion, match=r"^<stream>:2: quaternion norm 1\.1 "):
+        read_camera_poses(text)
+    with pytest.raises(ParseError, match=r"^<stream>:4: bad pose field 'x'$"):
+        read_camera_poses(pose_text([0.0, 0.1, 0.2, 0.3], {4: "0.3 0 0 x 0 0 0 1"}))
+
+
+def test_pose_file_reports_repeated_time_before_later_short_row():
+    text = pose_text([0.0, 0.1, 0.1, 0.2, 0.3], {5: "0.3 0 0 0 0 0 1"})
+    with pytest.raises(NonMonotonicTimestamps, match=r"^timestamp 0\.1 after 0\.1 \(line 3\)$"):
+        read_camera_poses(text)
+    with pytest.raises(ParseError, match=r"^<stream>:5: expected 8 fields, got 7$"):
+        read_camera_poses(pose_text([0.0, 0.1, 0.2, 0.25, 0.3], {5: "0.3 0 0 0 0 0 1"}))
+
+
+def test_detection_file_reports_zero_width_box_before_later_bad_field():
+    text = io.StringIO("0 0.0 320 240 10 10\n1 0.1 320 240 0 10\n2 0.2 320 x 10 10\n")
+    message = r"^<stream>:2: bounding box must have positive size, got 0\.0x10\.0$"
+    with pytest.raises(ParseError, match=message):
+        read_detections(text)
+
+
+@pytest.mark.parametrize(
+    "lines, error, message",
+    [
+        (["1 0.0 320 240 10 10", "0 0.1 320 240 10 10", "2 0.2 1.7e308 240 1.7e308 10"],
+         NonMonotonicFrames, r"^frame index 0 after 1 \(line 2\)$"),
+        (["1 0.0 320 240 10 10", "2 0.1 1.7e308 240 1.7e308 10", "0 0.2 320 240 10 10"],
+         ParseError, r"^<stream>:2: bounding box corners must be finite$"),
+    ],
+    ids=["regression-first", "overflow-first"],
+)
+def test_detection_file_reports_first_of_regression_and_corner_overflow(lines, error, message):
+    with pytest.raises(error, match=message):
+        read_detections(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_read_camera_poses_matches_per_row_constructors():
+    rng = np.random.default_rng(7)
+    q = rng.normal(size=(60, 4))
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    q[::3] *= 1.0 + rng.uniform(-9e-7, 9e-7, size=(20, 1))  # within the norm tolerance
+    t = rng.normal(size=(60, 3))
+    text = "".join(
+        " ".join(repr(float(v)) for v in (0.1 * k, *t[k], *q[k])) + "\n" for k in range(60)
+    )
+    recs = read_camera_poses(io.StringIO(text))
+    assert len(recs) == 60
+    for k, rec in enumerate(recs):
+        assert rec.pose.rotation.matrix.tobytes() == Rotation.from_quaternion(q[k]).matrix.tobytes()
+        assert rec.pose.translation.tobytes() == t[k].tobytes()
+        assert (rec.pose.frame_from, rec.pose.frame_to) == (CAMERA, WORLD)
+        for a in (rec.pose.rotation.matrix, rec.pose.translation):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def test_read_detections_matches_per_row_constructors():
+    rng = np.random.default_rng(8)
+    boxes = rng.uniform([0.0, 0.0, 0.5, 0.5], [640.0, 480.0, 90.0, 90.0], size=(40, 4))
+    lines = []
+    for k, b in enumerate(boxes):
+        fields = " ".join(repr(float(v)) for v in b)
+        lines.append(f"{k} {k / 30.0!r} missing" if k % 5 == 4 else f"{k} {k / 30.0!r} {fields} 0.5")
+    recs = read_detections(io.StringIO("\n".join(lines) + "\n"))
+    for k, rec in enumerate(recs):
+        assert rec.bbox == (None if k % 5 == 4 else BoundingBox(*boxes[k]))
+        assert rec.confidence == (None if k % 5 == 4 else 0.5)
+
+
+def test_line_with_two_faults_reports_the_one_read_first():
+    # a line's own fields are checked before its order against the line above
+    with pytest.raises(ParseError, match=r"^<stream>:2: bounding box must have positive size"):
+        read_detections(io.StringIO("1 0.0 320 240 10 10\n0 0.0 320 240 0 10\n"))
+    with pytest.raises(ParseError, match=r"^<stream>:2: confidence must be finite, got 'nan'$"):
+        read_detections(io.StringIO("1 0.0 320 240 10 10\n1 0.1 320 240 10 10 nan\n"))
+    with pytest.raises(NonMonotonicFrames, match=r"\(line 2\)$"):
+        read_detections(io.StringIO("1 0.0 320 240 10 10\n0 0.0 missing\n"))
+    with pytest.raises(DenormalizedQuaternion, match=r"^<stream>:2: "):
+        read_camera_poses(io.StringIO("0.1 0 0 0 0 0 0 1\n0.1 0 0 0 0 0 0 2\n"))

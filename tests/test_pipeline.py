@@ -96,3 +96,25 @@ def test_extract_respects_refine_toggle():
     fast = extract_trajectory(obs, cfg.with_overrides(["pnp.refine=false"]))
     assert fast.frames_solved == 5
     np.testing.assert_allclose(fast.trajectory.positions[-1], [0.0, 0.0, 2.0], atol=1e-5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_extract_rejects_non_finite_timestamp(bad):
+    cfg = default_config()
+    obs = [make_obs(k, k / 30.0, box_for_depth(2.0, cfg)) for k in range(5)]
+    obs[3] = make_obs(3, bad, None)
+    with pytest.raises(ValueError, match="^timestamp must be finite$"):
+        extract_trajectory(obs, cfg)
+
+
+def test_extract_records_are_read_only():
+    cfg = default_config()
+    obs = [make_obs(k, k / 30.0, box_for_depth(2.0, cfg) if k % 4 else None) for k in range(12)]
+    out = extract_trajectory(obs, cfg)
+    arrays = [m.position for m in out.measurements if m.position is not None]
+    arrays += [a for s in out.samples if s.position is not None for a in (s.position.xyz, s.velocity)]
+    assert len(arrays) == 9 + 2 * 11
+    for a in arrays:
+        assert a.shape == (3,) and np.isfinite(a).all() and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0

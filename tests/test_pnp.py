@@ -400,3 +400,28 @@ def test_error_growth_with_depth():
     lat2, dep2 = med_components(2.0, 8)
     assert 1.5 < lat2 / lat1 < 2.5
     assert dep2 / dep1 > 2.5
+
+
+def test_bbox_faults_of_a_stack_match_each_box():
+    boxes = np.array(
+        [
+            [320.0, 240.0, 10.0, 20.0],
+            [320.0, 240.0, 0.0, 20.0],
+            [320.0, 240.0, 10.0, -1.0],
+            [np.nan, 240.0, 10.0, 20.0],
+            [320.0, np.inf, 10.0, 20.0],
+            [1.7e308, 244.5, 1.7e308, 46.5],
+            [-1.7e308, 244.5, 1.7e308, 46.5],
+            [244.5, 1.7e308, 46.5, 1.7e308],
+            [1.7e308, 244.5, 1e292, 46.5],  # both corners finite
+        ]
+    )
+    codes = pnp._box_faults(boxes)
+    assert codes.tolist() == [0, 2, 2, 1, 1, 3, 3, 3, 0]
+    for box, code in zip(boxes, codes):
+        assert pnp._box_faults(box[None])[0] == code
+        if code:
+            with pytest.raises(ValueError, match=pnp._BOX_FAULTS[code].split("{")[0]):
+                BoundingBox(*box)
+        else:
+            BoundingBox(*box)
