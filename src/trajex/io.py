@@ -25,6 +25,7 @@ import math
 import os
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +38,7 @@ from .errors import (
     ParseError,
 )
 from .geometry import CAMERA, WORLD, CameraIntrinsics, RigidTransform, Rotation
-from .geometry import _quat_rotations, _rotation_faults, _unchecked
-from .geometry import invert as _invert
+from .geometry import _ROTATION_FAULTS, _quat_rotations, _rotation_faults, _unchecked
 from .kalman import FilterParams
 from .pnp import _BOX_FAULTS, BoundingBox, RobotModel, _box_faults
 from .trajectory import GroundTrack, NavMetrics, Trajectory
@@ -128,12 +128,16 @@ def _parse_float(token: str, name: str, lineno: int, what: str) -> float:
 # detections
 
 
+_MAX_FILLED = 1 << 20  # missing frames one detection file may add in gaps, ~190 MB of records
+
+
 def read_detections(source) -> list[DetectionRecord]:
     """Parse a detection stream.
 
     Frame indices must strictly increase; gaps are filled in as missing
     frames with linearly interpolated timestamps so downstream code
-    sees one record per frame.
+    sees one record per frame. A file may add at most 2^20 such frames
+    (~9.7 h at 30 Hz); the line that goes past it is a ParseError.
     """
     return _read_rows(source, 6, _detection_row, _detections)
 
@@ -180,13 +184,18 @@ def _detections(linenos: list, idx: list, vals: np.ndarray, name: str) -> list[D
     error of the first faulty row."""
     t, boxes, present = vals[:, 0], vals[:, 1:5], ~np.isnan(vals[:, 1])
     box_fault = np.where(present, _box_faults(np.where(present[:, None], boxes, 1.0)), 0)
-    frame_late = np.array([False] + [b <= a for a, b in zip(idx, idx[1:])])
-    for k in np.flatnonzero(box_fault | frame_late | np.append(False, t[1:] <= t[:-1]))[:1]:
+    gaps = [b - a - 1 for a, b in zip(idx, idx[1:])]
+    frame_late = np.array([False] + [g < 0 for g in gaps])
+    overfill = np.array([False] + [n > _MAX_FILLED for n in accumulate(max(g, 0) for g in gaps)])
+    for k in np.flatnonzero(box_fault | frame_late | overfill | np.append(False, t[1:] <= t[:-1]))[:1]:
         if box_fault[k]:
             msg = _BOX_FAULTS[box_fault[k]].format(*boxes[k, 2:].tolist())
             raise ParseError(msg, source=name, line=linenos[k])
         if frame_late[k]:
             raise NonMonotonicFrames(f"frame index {idx[k]} after {idx[k - 1]} (line {linenos[k]})")
+        if overfill[k]:
+            msg = f"frame index {idx[k]} after {idx[k - 1]} takes the file past {_MAX_FILLED} filled-in frames"
+            raise ParseError(msg, source=name, line=linenos[k])
         raise NonMonotonicTimestamps(f"timestamp {float(t[k])} after {float(t[k - 1])} (line {linenos[k]})")
     out: list[DetectionRecord] = []
     for i, (ti, cx, cy, w, h, c) in zip(idx, vals.tolist()):
@@ -249,14 +258,19 @@ def _poses(linenos: list, _, vals: np.ndarray, name: str) -> list[CameraPoseReco
         except DenormalizedQuaternion as e:
             raise DenormalizedQuaternion(f"{name}:{linenos[k]}: {e}") from None
         raise NonMonotonicTimestamps(f"timestamp {float(t[k])} after {float(t[k - 1])} (line {linenos[k]})")
-    block = np.empty((len(vals), 12))  # R and t in one long-lived allocation per file
-    block[:, :9], block[:, 9:] = rot.reshape(-1, 9), vals[:, 1:4]
+    return _pose_records(t.tolist(), rot, vals[:, 1:4])
+
+
+def _pose_records(times: list, rot: np.ndarray, trans: np.ndarray) -> list[CameraPoseRecord]:
+    """Camera-in-world records of checked R (N, 3, 3) and t (N, 3), on read-only row views."""
+    block = np.empty((len(times), 12))  # R and t in one long-lived allocation per file
+    block[:, :9], block[:, 9:] = rot.reshape(-1, 9), trans
     block.flags.writeable = False
     rot, trans = block[:, :9].reshape(-1, 3, 3), block[:, 9:]
     return [
         CameraPoseRecord(ti, _unchecked(RigidTransform, rotation=_unchecked(Rotation, matrix=r),
                                         translation=x, frame_from=CAMERA, frame_to=WORLD))
-        for ti, r, x in zip(t.tolist(), rot, trans)
+        for ti, r, x in zip(times, rot, trans)
     ]
 
 
@@ -283,24 +297,20 @@ def adapt_poses(
     tagged = all(r.pose.frame_from == CAMERA and r.pose.frame_to == WORLD for r in records)
     if tagged and not invert and scale == 1.0 and np.array_equal(remap.matrix, np.eye(3)):
         return list(records)
-    out = []
-    with np.errstate(over="ignore"):  # a pose that overflows fails its own check
-        for r in records:
-            try:
-                t = r.pose.translation * scale
-                pose = RigidTransform(r.pose.rotation, t, r.pose.frame_from, r.pose.frame_to)
-                if invert:
-                    pose = _invert(pose)
-            except ValueError as e:
-                raise ParseError(f"pose at time {r.timestamp!r} scaled by {scale!r}: {e}") from None
-            pose = RigidTransform(
-                remap @ pose.rotation,
-                remap.apply(pose.translation),
-                frame_from=CAMERA,
-                frame_to=WORLD,
-            )
-            out.append(CameraPoseRecord(r.timestamp, pose))
-    return out
+    rot = np.array([r.pose.rotation.matrix for r in records]).reshape(-1, 3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # a pose that overflows fails its own check
+        t = np.array([r.pose.translation for r in records]).reshape(-1, 3) * scale
+        scaled = np.isfinite(t).all(axis=1)
+        if invert:  # world-in-camera rows: R^T and -R^T t, as geometry.invert gives them
+            rot = rot.swapaxes(1, 2)
+            t = -(rot @ t[:, :, None])[:, :, 0]
+        rot, t = remap.matrix @ rot, t @ remap.matrix.T  # exact: remap is a signed permutation
+    fault = np.where(scaled, _rotation_faults(rot), -1)  # -1: a translation that is not finite
+    fault[(fault == 0) & ~np.isfinite(t).all(axis=1)] = -1
+    for k in np.flatnonzero(fault)[:1]:
+        e = _ROTATION_FAULTS[fault[k]] if fault[k] > 0 else "translation has non-finite components"
+        raise ParseError(f"pose at time {records[k].timestamp!r} scaled by {scale!r}: {e}")
+    return _pose_records([r.timestamp for r in records], rot, t)
 
 
 def _axes_rotation(spec: str) -> Rotation:
@@ -310,17 +320,11 @@ def _axes_rotation(spec: str) -> Rotation:
     tokens = [s.strip() for s in spec.split(",")]
     if len(tokens) != 3:
         raise ParseError(f"axis spec needs 3 entries, got '{spec}'")
-    axis_of = {"x": 0, "y": 1, "z": 2}
+    if sorted(tok.removeprefix("-") for tok in tokens) != ["x", "y", "z"]:  # each axis once
+        raise ParseError(f"bad axis spec '{spec}'")
     m = np.zeros((3, 3))
-    used = set()
     for row, tok in enumerate(tokens):
-        sign = 1.0
-        if tok.startswith("-"):
-            sign, tok = -1.0, tok[1:]
-        if tok not in axis_of or tok in used:
-            raise ParseError(f"bad axis spec '{spec}'")
-        used.add(tok)
-        m[row, axis_of[tok]] = sign
+        m[row, "xyz".index(tok[-1])] = -1.0 if tok.startswith("-") else 1.0
     if np.linalg.det(m) < 0.0:
         raise ParseError(f"axis spec '{spec}' is left-handed")
     return Rotation(m)

@@ -10,7 +10,7 @@ acceleration, so for a step of length dt:
 Measurements are noisy positions, H = [I 0], R = sigma_z^2 I. Both
 models are linear, so the filter is exact. With the initial covariance
 diag(pos_var, vel_var) (x) I3, every covariance of a run is P2 (x) I3,
-P2 = [[a, b], [b, c]], so run_filter runs one scalar recursion on Python
+P2 = [[a, b], [b, c]], so _filter runs one scalar recursion on Python
 floats, with the gains (a, b) / (a + r) on each axis, taken from halved
 terms so that a + r cannot overflow. It also carries
 e = c - b^2/a, the velocity variance given the position: every value is
@@ -18,7 +18,7 @@ then a sum or ratio of non-negative terms, and none overflows before P2
 does. init_state, predict and update are the same filter in 6-D
 (Joseph-form update); the tests hold run_filter to them.
 
-run_filter checks every state and P2 it produces (the first one, each
+_filter checks every state and P2 it produces (the first one, each
 prediction and each posterior) once, in closed form: all finite, and
 P2's smallest eigenvalue (a+c)/2 - hypot((a-c)/2, b) not below
 -1e-9 * max(1, largest). The bound is relative because P2's entries grow
@@ -29,8 +29,9 @@ is an InputError too.
 
 The filter initializes lazily at the first available measurement
 (velocity zero). Frames before that point carry no estimate; dropped
-detections after it are bridged by prediction alone. The samples are
-built from the rows that the check above has passed, not checked again.
+detections after it are bridged by prediction alone. _filter runs on
+columns (a NaN position is a dropped frame); run_filter is its adapter
+for lists, and builds its samples unchecked from the checked rows.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .errors import (
 from .geometry import CAMERA, Point3, _unchecked
 
 _PSD_TOL = 1e-9  # relative to max(1, largest eigenvalue)
+_DROPPED = (math.nan,) * 3  # the position row of a dropped frame
 
 
 @dataclass(frozen=True)
@@ -163,6 +165,58 @@ def _check_states(states: np.ndarray) -> None:
         raise ValueError("covariance is not positive semidefinite")
 
 
+def _filter(times: np.ndarray, z: np.ndarray, params: FilterParams) -> tuple[int, np.ndarray]:
+    """The first measured frame of times (N,) and positions z (N, 3), and the checked,
+    read-only rows (x (6), a, b, c) of it and each later frame; raises as run_filter does."""
+    first = next((i for i, zx in enumerate(z[:, 0].tolist()) if not math.isnan(zx)), None)
+    if first is None:
+        raise EmptySequence("no frame carries a usable measurement")
+    for i in np.flatnonzero(times[1:] <= times[:-1])[:1].tolist():
+        raise NonMonotonicTimestamps(f"timestamps must strictly increase, got {times[i]} then {times[i + 1]}")
+
+    q, r = params.accel_sigma**2, params.meas_sigma**2
+    t = float(times[first])
+    px, py, pz, vx, vy, vz = *z[first].tolist(), 0.0, 0.0, 0.0
+    a, b, c, e = params.pos_var, 0.0, params.init_vel_var, params.init_vel_var  # e = c - b^2/a
+    record = struct.Struct("9d").pack_into  # a state and its P2 into `states`, 72 bytes a row
+    states, n, out = np.empty((2 * len(times), 9)), 1, [0]  # rows recorded; rows reported
+    record(states, 0, px, py, pz, vx, vy, vz, a, b, c)
+    try:
+        for ti, (zx, zy, zz) in zip(times[first + 1 :].tolist(), z[first + 1 :].tolist()):
+            dt, t = ti - t, ti
+            dt2 = dt * dt
+            a1 = a + dt * (2.0 * b + dt * c) + q * dt2 * (dt2 / 4.0)
+            # e = det P2 / a; det P2 grows by q v P2 v^T <= q dt^2 a1, v = (dt, dt^2/2)
+            e = e * (a / a1) + q * dt2 * ((a + dt * (b + dt * c / 4.0)) / a1) if a1 > 0.0 else c
+            a, b, c = a1, b + dt * c + q * dt2 * (dt / 2.0), c + q * dt2
+            if not a + c < math.inf:  # NaN too, from 0 * inf
+                raise InputError(f"a step of {dt!r} s to t = {t!r} overflows the filter covariance")
+            px, py, pz = px + dt * vx, py + dt * vy, pz + dt * vz
+            if not math.isnan(zx):
+                record(states, 72 * n, px, py, pz, vx, vy, vz, a, b, c)
+                n += 1
+                s = 0.5 * a + 0.5 * r  # (a + r) / 2, which cannot overflow
+                if s == 0.0:
+                    raise InputError(
+                        f"the innovation variance underflows to 0 at t = {t!r}: "
+                        "filter.meas_sigma and filter.accel_sigma are too small"
+                    )
+                k1, k2, w = 0.5 * a / s, 0.5 * b / s, 0.5 * r / s
+                ix, iy, iz = zx - px, zy - py, zz - pz
+                px, py, pz = px + k1 * ix, py + k1 * iy, pz + k1 * iz
+                vx, vy, vz = vx + k2 * ix, vy + k2 * iy, vz + k2 * iz
+                # c - b^2/s = e + (b^2/a) w with b^2/a = c - e, exact as w = 1 - k1 nears 0
+                a, b, c = a * w, b * w, e + (c - e) * w
+            out.append(n)
+            record(states, 72 * n, px, py, pz, vx, vy, vz, a, b, c)
+            n += 1
+    finally:  # on an error too: a bad state is reported before what it broke later
+        _check_states(states[:n])
+    rows = states[out]  # checked above, so what is built from them is not checked again
+    rows.flags.writeable = False
+    return first, rows
+
+
 def run_filter(measurements, params: FilterParams | None = None) -> list[FilteredSample]:
     """Filter a frame sequence into per-frame position estimates.
 
@@ -175,58 +229,9 @@ def run_filter(measurements, params: FilterParams | None = None) -> list[Filtere
     ValueError when a state breaks the invariants above.
     """
     measurements = list(measurements)
-    if params is None:
-        params = FilterParams()
-    first = next((i for i, m in enumerate(measurements) if m.position is not None), None)
-    if first is None:
-        raise EmptySequence("no frame carries a usable measurement")
-    for a, b in zip(measurements, measurements[1:]):
-        if b.timestamp <= a.timestamp:
-            raise NonMonotonicTimestamps(
-                f"timestamps must strictly increase, got {a.timestamp} then {b.timestamp}"
-            )
-
-    q, r = params.accel_sigma**2, params.meas_sigma**2
-    t = measurements[first].timestamp
-    px, py, pz, vx, vy, vz = *measurements[first].position.tolist(), 0.0, 0.0, 0.0
-    a, b, c, e = params.pos_var, 0.0, params.init_vel_var, params.init_vel_var  # e = c - b^2/a
-    record = struct.Struct("9d").pack_into  # a state and its P2 into `states`, 72 bytes a row
-    states, n, out = np.empty((2 * len(measurements), 9)), 1, [0]  # rows recorded; rows reported
-    record(states, 0, px, py, pz, vx, vy, vz, a, b, c)
-    try:
-        for meas in measurements[first + 1 :]:
-            dt, t = meas.timestamp - t, meas.timestamp
-            dt2 = dt * dt
-            a1 = a + dt * (2.0 * b + dt * c) + q * dt2 * (dt2 / 4.0)
-            # e = det P2 / a; det P2 grows by q v P2 v^T <= q dt^2 a1, v = (dt, dt^2/2)
-            e = e * (a / a1) + q * dt2 * ((a + dt * (b + dt * c / 4.0)) / a1) if a1 > 0.0 else c
-            a, b, c = a1, b + dt * c + q * dt2 * (dt / 2.0), c + q * dt2
-            if not a + c < math.inf:  # NaN too, from 0 * inf
-                raise InputError(f"a step of {dt!r} s to t = {t!r} overflows the filter covariance")
-            px, py, pz = px + dt * vx, py + dt * vy, pz + dt * vz
-            if meas.position is not None:
-                record(states, 72 * n, px, py, pz, vx, vy, vz, a, b, c)
-                n += 1
-                s = 0.5 * a + 0.5 * r  # (a + r) / 2, which cannot overflow
-                if s == 0.0:
-                    raise InputError(
-                        f"the innovation variance underflows to 0 at t = {t!r}: "
-                        "filter.meas_sigma and filter.accel_sigma are too small"
-                    )
-                k1, k2, w = 0.5 * a / s, 0.5 * b / s, 0.5 * r / s
-                zx, zy, zz = meas.position.tolist()
-                ix, iy, iz = zx - px, zy - py, zz - pz
-                px, py, pz = px + k1 * ix, py + k1 * iy, pz + k1 * iz
-                vx, vy, vz = vx + k2 * ix, vy + k2 * iy, vz + k2 * iz
-                # c - b^2/s = e + (b^2/a) w with b^2/a = c - e, exact as w = 1 - k1 nears 0
-                a, b, c = a * w, b * w, e + (c - e) * w
-            out.append(n)
-            record(states, 72 * n, px, py, pz, vx, vy, vz, a, b, c)
-            n += 1
-    finally:  # on an error too: a bad state is reported before what it broke later
-        _check_states(states[:n])
-    rows = states[out]  # checked above: the samples hold read-only views of them
-    rows.flags.writeable = False
+    times = np.array([m.timestamp for m in measurements], dtype=float)
+    z = np.array([_DROPPED if m.position is None else m.position for m in measurements]).reshape(-1, 3)
+    first, rows = _filter(times, z, FilterParams() if params is None else params)
     return [FilteredSample(m.timestamp, None, None, False) for m in measurements[:first]] + [
         _unchecked(FilteredSample, timestamp=m.timestamp,
                    position=_unchecked(Point3, xyz=row[:3], frame=CAMERA),

@@ -3,6 +3,8 @@
 Shared by the command-line front end and the synthetic-scene runner.
 Per-frame solver failures are tolerated (the frame is treated like a
 dropped detection); only a trial with no usable frame at all fails.
+It runs on arrays from pose solve to world track, through the filter and
+world map that run_filter and build_trajectory adapt to per-frame lists.
 """
 
 from __future__ import annotations
@@ -12,39 +14,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySequence, PipelineError
-from .geometry import _unchecked
+from .geometry import CAMERA
 from .io import FrameObservation, PipelineConfig
-from .kalman import FilteredSample, Measurement, run_filter
+from .kalman import _filter
 from .pnp import _positions
-from .trajectory import GroundTrack, Trajectory, build_trajectory, project_ground
+from .trajectory import GroundTrack, Trajectory, _world_track, project_ground
 
 
 _CHUNK = 512  # frames per stacked pose solve
 
 
-def _measurements(observations: list[FrameObservation], config: PipelineConfig) -> list[Measurement]:
-    """A Measurement per observation, from one stacked pose solve of the detected frames, in
-    chunks that bound its memory; a frame it cannot solve is bridged like a dropout."""
-    if not np.isfinite([obs.timestamp for obs in observations]).all():  # Measurement's check, once
-        raise ValueError("timestamp must be finite")
+def _camera_positions(observations: list[FrameObservation], config: PipelineConfig) -> np.ndarray:
+    """Camera-frame positions (N, 3) of the robot, NaN where a frame has no box or its solve
+    fails with a GeometryError (it is then bridged like a dropout). The detected frames are
+    solved as one stack, in chunks that bound its memory."""
     model, intrinsics, refine = config.robot(), config.camera(), bool(config["pnp.refine"])
-    boxes = [obs.bbox for obs in observations if obs.bbox is not None]
-    starts = range(0, len(boxes), _CHUNK)
-    found = (z for i in starts for z in _positions(boxes[i : i + _CHUNK], model, intrinsics, refine))
-    return [  # a solved row is finite
-        _unchecked(Measurement, timestamp=obs.timestamp, position=None if obs.bbox is None else next(found))
-        for obs in observations
-    ]
+    found = [i for i, obs in enumerate(observations) if obs.bbox is not None]
+    boxes = np.array([(b.cx, b.cy, b.w, b.h) for b in (observations[i].bbox for i in found)])
+    z = np.full((len(observations), 3), np.nan)
+    for i in range(0, len(found), _CHUNK):
+        z[found[i : i + _CHUNK]] = _positions(boxes[i : i + _CHUNK], model, intrinsics, refine)
+    return z
 
 
 @dataclass(frozen=True)
 class ExtractionResult:
-    """Everything one extraction produced, including per-frame detail."""
+    """The world trajectory and ground track of one extraction, with its frame counts."""
 
     trajectory: Trajectory
     ground_track: GroundTrack
-    measurements: list[Measurement]
-    samples: list[FilteredSample]
     frames_total: int
     frames_detected: int
     frames_solved: int
@@ -64,22 +62,22 @@ def extract_trajectory(
     Raises PipelineError when not a single frame yields a usable
     position measurement.
     """
-    measurements = _measurements(observations, config)
-    poses = [obs.camera_pose for obs in observations]
-
+    times = np.array([obs.timestamp for obs in observations], dtype=float)
+    if not np.isfinite(times).all():  # as a Measurement checks it, before the solve
+        raise ValueError("timestamp must be finite")
+    z = _camera_positions(observations, config)
     try:
-        samples = run_filter(measurements, config.filter_params())
+        first, rows = _filter(times, z, config.filter_params())
     except EmptySequence as e:
         raise PipelineError(
             f"no usable position measurement in {len(observations)} frames"
         ) from e
-    traj = build_trajectory(samples, poses)
+    poses = [obs.camera_pose for obs in observations[first:]]
+    traj = _world_track(times[first:], rows[:, :3], poses, [CAMERA] * len(poses))
     return ExtractionResult(
         trajectory=traj,
         ground_track=project_ground(traj),
-        measurements=measurements,
-        samples=samples,
         frames_total=len(observations),
         frames_detected=sum(obs.bbox is not None for obs in observations),
-        frames_solved=sum(m.position is not None for m in measurements),
+        frames_solved=int((~np.isnan(z[:, 0])).sum()),
     )

@@ -391,17 +391,15 @@ def _estimate(img: np.ndarray, model: RobotModel, intrinsics: CameraIntrinsics, 
     return rot, t, rmse, code
 
 
-def _positions(bboxes: list, model: RobotModel, intrinsics: CameraIntrinsics, refine: bool):
-    """Camera-frame face positions (3,) of a list of boxes, solved as one
-    stack. A box whose solve fails with a GeometryError gets None; any other
-    failure is raised, as the per-frame solve raised it."""
-    img = _box_corners(np.array([(b.cx, b.cy, b.w, b.h) for b in bboxes]).reshape(-1, 4))
-    _, t, _, code = _estimate(img, model, intrinsics, refine)
-    fatal = code[np.isin(code, _FATAL)]
-    if fatal.size:
-        _raise(fatal[0])
-    t.flags.writeable = False  # a solved row is finite: its rmse was
-    return [None if c else z for z, c in zip(t, code)]
+def _positions(boxes: np.ndarray, model: RobotModel, intrinsics: CameraIntrinsics, refine: bool):
+    """Camera-frame face positions (M, 3) of boxes (M, 4) (cx, cy, w, h), solved as one
+    stack. A row whose solve fails with a GeometryError is NaN; any other failure is
+    raised, as the per-frame solve raised it."""
+    _, t, _, code = _estimate(_box_corners(boxes), model, intrinsics, refine)
+    for k in code[np.isin(code, _FATAL)][:1]:
+        _raise(k)
+    t[code != 0] = np.nan  # a solved row is finite: its rmse was
+    return t
 
 
 def solve_ippe(

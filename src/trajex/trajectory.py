@@ -85,6 +85,16 @@ def to_world(p_cam: Point3, camera_pose: RigidTransform) -> Point3:
     return transform_point(camera_pose, p_cam)
 
 
+def _world_track(times, p: np.ndarray, poses: list[RigidTransform], frames) -> Trajectory:
+    """Camera-frame points p (N, 3) at times (N,) carried into the world as to_world carries
+    them: each frame tag (frames) is checked against its pose's, and p becomes R p + t."""
+    for pose, frame in zip(poses, frames):
+        _check_frames(pose.frame_from, frame, "transform_point")
+    r = np.array([pose.rotation.matrix for pose in poses])
+    t = np.array([pose.translation for pose in poses])
+    return Trajectory(times, (r @ p[:, :, None])[:, :, 0] + t)
+
+
 def build_trajectory(
     samples: list[FilteredSample],
     camera_poses: list[RigidTransform],
@@ -101,14 +111,9 @@ def build_trajectory(
     kept = [(s, pose) for s, pose in zip(samples, camera_poses) if s.position is not None]
     if not kept:
         raise EmptySequence("no frame produced a position estimate")
-    for s, pose in kept:
-        _check_frames(pose.frame_from, s.position.frame, "transform_point")
-    # to_world for every kept frame at once: R p + t
-    r = np.array([pose.rotation.matrix for _, pose in kept])
-    t = np.array([pose.translation for _, pose in kept])
     p = np.array([s.position.xyz for s, _ in kept])
-    times = np.array([s.timestamp for s, _ in kept])
-    return Trajectory(times, (r @ p[:, :, None])[:, :, 0] + t)
+    frames = [s.position.frame for s, _ in kept]
+    return _world_track([s.timestamp for s, _ in kept], p, [pose for _, pose in kept], frames)
 
 
 def project_ground(traj: Trajectory) -> GroundTrack:

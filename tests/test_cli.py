@@ -1,5 +1,7 @@
 """Command-line front end: commands, chaining, exit codes, determinism."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,20 @@ def test_exit_code_pose_overflows_under_scale(tmp_path, capsys):
     assert code == 2
     assert "pose at time 0.1 scaled by 10.0: translation has non-finite components" in err
     assert "Warning" not in err
+
+
+def test_exit_code_detection_gap_past_bound(tmp_path, capsys):
+    # a frame-index gap that would fill ~1e8 records is refused before any is built
+    dets = tmp_path / "det.txt"
+    dets.write_text("0 0.0 missing\n100000000 1.0 missing\n")
+    poses = tmp_path / "poses.txt"
+    poses.write_text("0.0 0 0 4 0 0 0 1\n1.0 0 0 4 0 0 0 1\n")
+    argv = ["extract", "--detections", str(dets), "--poses", str(poses), "--out-dir", str(tmp_path / "out")]
+    start = time.perf_counter()
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert f"{dets}:2: frame index 100000000 after 0 takes the file past 1048576 filled-in frames" in err
+    assert time.perf_counter() - start < 5.0
 
 
 def test_help_lists_config_keys():

@@ -13,7 +13,7 @@ from trajex.errors import (
     NonMonotonicTimestamps,
     ParseError,
 )
-from trajex.geometry import CAMERA, WORLD, RigidTransform, Rotation
+from trajex.geometry import CAMERA, WORLD, RigidTransform, Rotation, invert
 from trajex.io import (
     CameraPoseRecord,
     DetectionRecord,
@@ -60,6 +60,15 @@ def test_read_detections_fills_gaps():
     assert [r.frame_index for r in recs] == [0, 1, 2, 3]
     assert not recs[1].present and not recs[2].present
     np.testing.assert_allclose([recs[1].timestamp, recs[2].timestamp], [0.1, 0.2])
+
+
+def test_read_detections_bounds_filled_frames():
+    # a 100,000-frame gap is filled in; one past 2^20 filled frames is a parse error
+    recs = read_detections(io.StringIO("0 0.0 missing\n100000 1.0 missing\n"))
+    assert len(recs) == 100001 and recs[-1].frame_index == 100000
+    text = "0 0.0 missing\n600000 1.0 missing\n1200000 2.0 missing\n"
+    with pytest.raises(ParseError, match="^<stream>:3: frame index 1200000 after 600000 takes the file past"):
+        read_detections(io.StringIO(text))
 
 
 def test_read_detections_errors():
@@ -147,6 +156,34 @@ def test_adapt_poses_invert():
     out = adapt_poses([CameraPoseRecord(0.0, world_in_cam)], invert=True)
     np.testing.assert_allclose(out[0].pose.translation, cam_in_world.translation, atol=1e-14)
     np.testing.assert_allclose(out[0].pose.rotation.matrix, cam_in_world.rotation.matrix, atol=1e-14)
+
+
+def test_adapt_poses_matches_per_pose_composition():
+    # the stacked product equals, bit for bit, each pose scaled, inverted by
+    # geometry.invert and remapped, as the per-pose code composed them
+    rng = np.random.default_rng(12)
+    records = [
+        CameraPoseRecord(0.1 * k, RigidTransform(
+            Rotation.from_axis_angle(rng.normal(size=3), rng.uniform(0.0, np.pi)),
+            rng.normal(scale=10.0, size=3), CAMERA, WORLD))
+        for k in range(200)
+    ]
+    remap = Rotation(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]))
+    for inv in (False, True):
+        out = adapt_poses(records, invert=inv, scale=2.5, axes="x,-z,y")
+        for a, r in zip(out, records):
+            pose = RigidTransform(r.pose.rotation, r.pose.translation * 2.5, CAMERA, WORLD)
+            pose = invert(pose) if inv else pose
+            assert a.timestamp == r.timestamp and (a.pose.frame_from, a.pose.frame_to) == (CAMERA, WORLD)
+            assert a.pose.rotation.matrix.tobytes() == (remap @ pose.rotation).matrix.tobytes()
+            assert a.pose.translation.tobytes() == remap.apply(pose.translation).tobytes()
+            assert not a.pose.translation.flags.writeable
+    # the first pose that overflows is named, whatever follows it
+    bad = [CameraPoseRecord(0.0, records[0].pose), CameraPoseRecord(0.5, RigidTransform(
+        Rotation.identity(), np.array([0.0, 1e308, 0.0]))), CameraPoseRecord(0.7, RigidTransform(
+        Rotation.identity(), np.array([1e308, 0.0, 0.0])))]
+    with pytest.raises(ParseError, match=r"^pose at time 0\.5 scaled by 10\.0: translation has non-finite"):
+        adapt_poses(bad, invert=True, scale=10.0)
 
 
 def test_adapt_poses_defaults_keep_records():

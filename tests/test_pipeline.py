@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from trajex.errors import PipelineError
+from trajex.errors import FrameMismatch, GeometryError, PipelineError
 from trajex.geometry import CAMERA, WORLD, RigidTransform, Rotation
 from trajex.io import FrameObservation, default_config
-from trajex.pipeline import ExtractionResult, extract_trajectory
-from trajex.pnp import BoundingBox
+from trajex.kalman import Measurement, run_filter
+from trajex.pipeline import ExtractionResult, _camera_positions, extract_trajectory
+from trajex.pnp import BoundingBox, estimate_robot_position
+from trajex.trajectory import build_trajectory, project_ground
 
 
 def overhead_pose(height=4.0):
@@ -60,7 +62,7 @@ def test_extract_tolerates_missing_frames():
     # frames before the first detection carry no estimate and are dropped,
     # later gaps are bridged by prediction
     assert len(out.trajectory) == 30
-    assert sum(1 for s in out.samples if s.position is None) == 0
+    np.testing.assert_array_equal(out.trajectory.times, [o.timestamp for o in obs])
 
 
 def test_extract_bridges_frame_whose_solve_fails():
@@ -71,7 +73,9 @@ def test_extract_bridges_frame_whose_solve_fails():
     assert out.frames_detected == 30
     assert out.frames_solved == 29
     assert len(out.trajectory) == 30
-    assert out.samples[10].from_measurement is False
+    # the frame is bridged: its row of the stacked solve is NaN, as a dropout's
+    z = _camera_positions(obs, cfg)
+    assert np.isnan(z[10]).all() and np.isfinite(np.delete(z, 10, axis=0)).all()
 
 
 def test_extract_drops_frames_before_first_detection():
@@ -110,11 +114,57 @@ def test_extract_rejects_non_finite_timestamp(bad):
 def test_extract_records_are_read_only():
     cfg = default_config()
     obs = [make_obs(k, k / 30.0, box_for_depth(2.0, cfg) if k % 4 else None) for k in range(12)]
-    out = extract_trajectory(obs, cfg)
-    arrays = [m.position for m in out.measurements if m.position is not None]
-    arrays += [a for s in out.samples if s.position is not None for a in (s.position.xyz, s.velocity)]
+    z = _camera_positions(obs, cfg)
+    measurements = [Measurement(o.timestamp, None if np.isnan(p).any() else p) for o, p in zip(obs, z)]
+    samples = run_filter(measurements, cfg.filter_params())
+    arrays = [m.position for m in measurements if m.position is not None]
+    arrays += [a for s in samples if s.position is not None for a in (s.position.xyz, s.velocity)]
     assert len(arrays) == 9 + 2 * 11
     for a in arrays:
         assert a.shape == (3,) and np.isfinite(a).all() and not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def test_extract_equals_its_public_parts():
+    # extract_trajectory must equal, bit for bit, the composition of public parts
+    # that perfbench's traced run rebuilds it from: per-frame solve, Measurement,
+    # run_filter and build_trajectory
+    cfg = default_config()
+    rng = np.random.default_rng(24)
+    obs = []
+    for k in range(700):
+        rot = Rotation.from_axis_angle(rng.normal(size=3), rng.uniform(0.0, np.pi))
+        pose = RigidTransform(rot, rng.normal(scale=5.0, size=3), frame_from=CAMERA, frame_to=WORLD)
+        box = box_for_depth(rng.uniform(1.5, 6.0), cfg)
+        # off-centre, with a noisy size, so that the polish moves every solve
+        box = BoundingBox(box.cx + rng.normal(scale=20.0), box.cy + rng.normal(scale=20.0),
+                          box.w * rng.uniform(0.9, 1.1), box.h * rng.uniform(0.9, 1.1))
+        if k < 4 or k % 50 == 7:  # leading missing frames, then dropouts
+            box = None
+        if k == 300:  # coincident corners: the solve fails, the frame is bridged
+            box = BoundingBox(320.0, 240.0, 1e-300, 1e-300)
+        obs.append(FrameObservation(k, k / 30.0, box, pose))
+    model, intrinsics, refine = cfg.robot(), cfg.camera(), bool(cfg["pnp.refine"])
+    measurements = []
+    for o in obs:
+        z = None
+        if o.bbox is not None:
+            try:
+                z = estimate_robot_position(o.bbox, model, intrinsics, refine=refine).xyz
+            except GeometryError:
+                pass
+        measurements.append(Measurement(o.timestamp, z))
+    ref = build_trajectory(run_filter(measurements, cfg.filter_params()), [o.camera_pose for o in obs])
+    out = extract_trajectory(obs, cfg)
+    assert out.frames_detected > 512
+    assert out.frames_solved == sum(m.position is not None for m in measurements) == out.frames_detected - 1
+    for a, b in [(out.trajectory.times, ref.times), (out.trajectory.positions, ref.positions),
+                 (out.ground_track.xy, project_ground(ref).xy)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # a pose tagged with another frame fails as it fails in build_trajectory
+    o = obs[-1]
+    obs[-1] = FrameObservation(o.frame_index, o.timestamp, o.bbox, RigidTransform(
+        o.camera_pose.rotation, o.camera_pose.translation, frame_from=WORLD, frame_to=WORLD))
+    with pytest.raises(FrameMismatch, match="^transform_point: expected frame 'world', got 'camera'$"):
+        extract_trajectory(obs, cfg)

@@ -6,6 +6,7 @@ import pytest
 from trajex import FrameObservation, NoiseSpec, default_config, extract_trajectory, pnp, run_pipeline
 from trajex.errors import DegenerateConfiguration, DivergedRefinement, GeometryError, PointBehindCamera
 from trajex.geometry import CAMERA, CameraIntrinsics, RigidTransform, Rotation, project_points, skew
+from trajex.pipeline import _camera_positions
 from trajex.pnp import (
     BoundingBox,
     PnpSolution,
@@ -330,20 +331,20 @@ def test_stacked_solve_matches_per_frame_solve():
         FrameObservation(k, 0.1 * k, box, RigidTransform(Rotation.identity(), np.zeros(3)))
         for k, box in enumerate(boxes)
     ]
-    result = extract_trajectory(observations, config)
+    rows = _camera_positions(observations, config)
     _, _, _, codes = pnp._estimate(np.array([bbox_to_image_points(b) for b in boxes]), model, intrinsics)
     failed = 0
-    for box, m, code in zip(boxes, result.measurements, codes):
+    for box, row, code in zip(boxes, rows, codes):
         try:
             z = estimate_robot_position(box, model, intrinsics).xyz
         except GeometryError as e:
-            assert m.position is None
+            assert np.isnan(row).all()
             assert type(e) is pnp._FAILS[code][0]
             failed += 1
             continue
-        assert m.position is not None and code == 0
-        assert m.position.tobytes() == z.tobytes()
-    assert result.frames_solved == len(boxes) - failed
+        assert code == 0
+        assert row.tobytes() == z.tobytes()
+    assert extract_trajectory(observations, config).frames_solved == len(boxes) - failed
     assert 3 <= failed < 20
 
 

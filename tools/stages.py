@@ -6,6 +6,9 @@ It writes a patrol detection/pose file pair with perfbench/patrol.py, in a
 child process and a temporary directory, and then times every stage of the
 extract command on it, in the command's order: read_detections,
 read_camera_poses, adapt, associate, solve, filter, world map and write.
+The solve, filter and world map stages are the array stages that
+extract_trajectory runs: camera-frame positions, the filter recursion,
+and R p + t with the ground projection.
 Each stage is timed --repeat times on the previous stage's output, and
 the best time is printed in milliseconds. The last line stamps the Python
 and numpy versions and the CPU count. Times from two checkouts compare
@@ -29,9 +32,10 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from trajex import io as tio  # noqa: E402
-from trajex.kalman import run_filter  # noqa: E402
-from trajex.pipeline import _measurements  # noqa: E402
-from trajex.trajectory import build_trajectory, project_ground  # noqa: E402
+from trajex.geometry import CAMERA  # noqa: E402
+from trajex.kalman import _filter  # noqa: E402
+from trajex.pipeline import _camera_positions  # noqa: E402
+from trajex.trajectory import _world_track, project_ground  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,11 +64,13 @@ def stages(det: Path, poses: Path, out: Path, repeat: int) -> list[tuple[str, fl
     recs = stage("read_camera_poses", tio.read_camera_poses, poses)
     recs = stage("adapt", tio.adapt_poses, recs, cfg["pose.invert"], cfg["pose.scale"], cfg["pose.axes"])
     obs = stage("associate", tio.associate, dets, recs, cfg.association_tolerance())
-    meas = stage("solve", _measurements, obs, cfg)
-    samples = stage("filter", run_filter, meas, cfg.filter_params())
+    times = np.array([o.timestamp for o in obs])
+    z = stage("solve", _camera_positions, obs, cfg)
+    first, states = stage("filter", _filter, times, z, cfg.filter_params())
 
     def world_map():
-        traj = build_trajectory(samples, [o.camera_pose for o in obs])
+        poses = [o.camera_pose for o in obs[first:]]
+        traj = _world_track(times[first:], states[:, :3], poses, [CAMERA] * len(poses))
         return traj, project_ground(traj)
 
     traj, track = stage("world map", world_map)
