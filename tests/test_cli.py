@@ -1,10 +1,16 @@
 """Command-line front end: commands, chaining, exit codes, determinism."""
 
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trajex
 from trajex.cli import build_parser, main
 from trajex.io import config_keys, read_ground_track, read_metrics, read_trajectory
 
@@ -323,18 +329,41 @@ def test_exit_code_pose_overflows_under_scale(tmp_path, capsys):
     assert "Warning" not in err
 
 
-def test_exit_code_detection_gap_past_bound(tmp_path, capsys):
-    # a frame-index gap that would fill ~1e8 records is refused before any is built
+def test_exit_code_detection_gap_past_bound(tmp_path):
+    # a frame-index gap that would fill ~1e8 records is refused before any is built;
+    # the command runs in a child limited to 1 GiB of address space, so a lost bound
+    # fails this test instead of taking the test process down
     dets = tmp_path / "det.txt"
     dets.write_text("0 0.0 missing\n100000000 1.0 missing\n")
     poses = tmp_path / "poses.txt"
     poses.write_text("0.0 0 0 4 0 0 0 1\n1.0 0 0 4 0 0 0 1\n")
     argv = ["extract", "--detections", str(dets), "--poses", str(poses), "--out-dir", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(trajex.__file__).parents[1]), OPENBLAS_NUM_THREADS="1")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
     start = time.perf_counter()
-    code, _, err = run(argv, capsys)
-    assert code == 2
+    child = subprocess.run([sys.executable, "-m", "trajex.cli", *argv], env=env, preexec_fn=limit,
+                           capture_output=True, text=True, timeout=60)
+    err = child.stderr
+    assert child.returncode == 2, err
     assert f"{dets}:2: frame index 100000000 after 0 takes the file past 1048576 filled-in frames" in err
     assert time.perf_counter() - start < 5.0
+
+
+def test_exit_code_output_path_is_a_directory(tmp_path, capsys):
+    dets = tmp_path / "det.txt"
+    dets.write_text("0 0.0 320.0 240.0 40.0 30.0\n")
+    poses = tmp_path / "poses.txt"
+    poses.write_text("0.0 0 0 0 0 0 0 1\n")
+    out = tmp_path / "out"
+    (out / "trajectory.txt").mkdir(parents=True)
+    argv = ["extract", "--detections", str(dets), "--poses", str(poses), "--out-dir", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "trajectory.txt" in err
+    assert os.listdir(out) == ["trajectory.txt"]  # no temp file beside it
 
 
 def test_help_lists_config_keys():

@@ -278,6 +278,23 @@ def test_write_text_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_write_text_rewrite_leaves_only_the_target(tmp_path):
+    target = tmp_path / "out.txt"
+    write_text(target, "old\n")
+    write_text(target, "new bytes\n")
+    assert target.read_bytes() == b"new bytes\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_write_text_failure_removes_temp_file(tmp_path):
+    # a directory where the file should go: the write fails and leaves nothing behind
+    (tmp_path / "out.txt").mkdir()
+    with pytest.raises(OSError):
+        write_text(tmp_path / "out.txt", "hello\n")
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert (tmp_path / "out.txt").is_dir()
+
+
 def test_associate_pairs_nearest_pose():
     dets = [DetectionRecord(k, 0.1 * k, BoundingBox(320, 240, 10, 10)) for k in range(5)]
     poses = [

@@ -426,3 +426,73 @@ def test_bbox_faults_of_a_stack_match_each_box():
                 BoundingBox(*box)
         else:
             BoundingBox(*box)
+
+
+def box_norms(rng, n):
+    """Normalised corners (n, 4, 2) of boxes 10-2,000 px a side (aspect up to
+    ~170), centred up to 1,500 px off the principal point."""
+    boxes = np.column_stack([rng.uniform(-1180.0, 1820.0, size=n), rng.uniform(-1260.0, 1740.0, size=n),
+                             10.0 ** rng.uniform(1.0, 3.3, size=(n, 2))])
+    return (pnp._box_corners(boxes) - [K.cx, K.cy]) / [K.fx, K.fy]
+
+
+def dlt(norm):
+    """Reference DLT homographies (N, 3, 3), h[2, 2] = 1, of normalised corners."""
+    hom = np.column_stack([MODEL.corners()[:, :2], np.ones(4)])
+    a = np.zeros((len(norm), 4, 2, 9))
+    a[:, :, 0, :3] = a[:, :, 1, 3:6] = hom
+    a[..., 6:] = -norm[..., None] * hom[:, None, :]
+    h = np.linalg.svd(a.reshape(-1, 8, 9))[2][:, -1].reshape(-1, 3, 3)
+    return h / h[:, 2:, 2:]
+
+
+def test_box_homography_matches_dlt():
+    # an axis-aligned box's homography is written down, not fitted
+    norm = box_norms(np.random.default_rng(25), 1000)
+    h, code, box = pnp._homography(norm, MODEL)
+    assert box.all() and (code == 0).all()
+    ref = dlt(norm)
+    assert (np.abs(h - ref).max(axis=(1, 2)) <= 1e-12 * np.abs(ref).max(axis=(1, 2))).all()
+
+
+def test_other_quads_take_the_dlt():
+    rot = Rotation.from_axis_angle([0.0, 1.0, 0.0], np.radians(35.0))
+    tilted = project_corners(rot, np.array([0.2, -0.1, 3.0]))
+    nudged = box_norms(np.random.default_rng(26), 1)[0] * [K.fx, K.fy] + [K.cx, K.cy]
+    nudged[1, 1] = np.nextafter(nudged[1, 1], np.inf)  # TR one ulp below TL
+    norm = (np.stack([tilted, nudged]) - [K.cx, K.cy]) / [K.fx, K.fy]
+    assert norm[1, 1, 1] != norm[1, 0, 1]
+    h, code, box = pnp._homography(norm, MODEL)
+    assert not box.any() and (code == 0).all()
+    np.testing.assert_array_equal(h, dlt(norm))
+    # the nudged box's DLT is its box's homography to rounding
+    norm[1, 1, 1] = norm[1, 0, 1]
+    np.testing.assert_allclose(h[1], pnp._homography(norm[1:], MODEL)[0][0], rtol=0, atol=1e-12)
+
+
+def test_ippe_candidates_are_orthonormal():
+    # the candidates are built orthonormal, and no polar step cleans them up
+    rng = np.random.default_rng(27)
+    img = np.stack([project_corners(*random_pose(rng)) for _ in range(300)]
+                   + [bbox_to_image_points(b) for b in stack_boxes(rng)])
+    rot, _, _, count, code = pnp._ippe(img, MODEL, K)
+    rot = rot[(code == 0)[:, None] & (np.arange(2) < count[:, None])]
+    assert len(rot) > 1000
+    assert np.abs(rot.swapaxes(1, 2) @ rot - np.eye(3)).max() <= 4e-15
+
+
+def test_returned_rotations_pass_rotation_checks():
+    # refine_pose and estimate_robot_pose take the closing polar step that _refine leaves out
+    rng = np.random.default_rng(28)
+    for k in range(50):
+        rot, t = random_pose(rng)
+        img = project_corners(rot, t) + rng.normal(scale=1.0, size=(4, 2))
+        lo, hi = img.min(axis=0), img.max(axis=0)
+        box = BoundingBox(*(lo + hi) / 2.0, *(hi - lo))
+        for r in (
+            refine_pose(solve_ippe(img, MODEL, K)[0], img, MODEL, K).rotation.matrix,
+            estimate_robot_pose(box, MODEL, K, refine=k % 2 == 0).rotation.matrix,
+        ):
+            Rotation(r)
+            assert np.abs(r.T @ r - np.eye(3)).max() <= 4e-15
+            assert np.linalg.det(r) > 0.0

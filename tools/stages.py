@@ -10,9 +10,11 @@ The solve, filter and world map stages are the array stages that
 extract_trajectory runs: camera-frame positions, the filter recursion,
 and R p + t with the ground projection.
 Each stage is timed --repeat times on the previous stage's output, and
-the best time is printed in milliseconds. The last line stamps the Python
-and numpy versions and the CPU count. Times from two checkouts compare
-only when the runs are interleaved on the same machine.
+its best and median times are printed in milliseconds: a stall that hits
+most calls (a slow rename, say) shows in the median and hides in the
+best. The last line stamps the Python and numpy versions and the CPU
+count. Times from two checkouts compare only when the runs are
+interleaved on the same machine.
 """
 
 import os
@@ -40,23 +42,23 @@ from trajex.trajectory import _world_track, project_ground  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def best_ms(repeat: int, fn, *args):
-    """fn's result and its best wall time over `repeat` calls, in ms."""
+def time_ms(repeat: int, fn, *args):
+    """fn's result and its (best, median) wall time over `repeat` calls, in ms."""
     times = []
     for _ in range(repeat):
         t0 = time.perf_counter()
         out = fn(*args)
         times.append(time.perf_counter() - t0)
-    return out, 1e3 * min(times)
+    return out, (1e3 * min(times), 1e3 * float(np.median(times)))
 
 
-def stages(det: Path, poses: Path, out: Path, repeat: int) -> list[tuple[str, float]]:
-    """(stage, best ms) for each stage of the extract command, at the default config."""
+def stages(det: Path, poses: Path, out: Path, repeat: int) -> list[tuple[str, tuple[float, float]]]:
+    """(stage, (best ms, median ms)) for each stage of the extract command, at the default config."""
     cfg = tio.default_config()
     rows = []
 
     def stage(name, fn, *args):
-        result, ms = best_ms(repeat, fn, *args)
+        result, ms = time_ms(repeat, fn, *args)
         rows.append((name, ms))
         return result
 
@@ -87,7 +89,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--frames", type=int, default=3600, help="frames in the patrol file pair")
     ap.add_argument("--seed", type=int, default=3, help="patrol seed")
-    ap.add_argument("--repeat", type=int, default=5, help="timed calls per stage; the best is printed")
+    ap.add_argument("--repeat", type=int, default=5, help="timed calls per stage")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
@@ -96,10 +98,10 @@ def main(argv=None) -> int:
                "--frames", str(args.frames), "--out", str(d)]
         subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True, timeout=300)
         rows = stages(d / "detections.txt", d / "poses.txt", d, args.repeat)
-    print(f"{args.frames} frames, seed {args.seed}, best of {args.repeat}")
-    for name, ms in rows:
-        print(f"{name:<18} {ms:8.1f} ms")
-    print(f"{'total':<18} {sum(ms for _, ms in rows):8.1f} ms")
+    print(f"{args.frames} frames, seed {args.seed}, {args.repeat} calls per stage")
+    print(f"{'stage':<18} {'best ms':>8} {'median ms':>10}")
+    for name, (best, med) in rows + [("total", np.sum([ms for _, ms in rows], axis=0))]:
+        print(f"{name:<18} {best:8.1f} {med:10.1f}")
     print(f"python {platform.python_version()}, numpy {np.__version__}, nproc {os.cpu_count()}")
     return 0
 
