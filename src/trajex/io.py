@@ -481,7 +481,10 @@ class NoiseSpec:
     pose_sigma_r: float = 0.0
 
     def __post_init__(self):
-        if min(self.pixel_sigma, self.dropout, self.pose_sigma_t, self.pose_sigma_r) < 0.0:
+        levels = (self.pixel_sigma, self.dropout, self.pose_sigma_t, self.pose_sigma_r)
+        if not all(math.isfinite(x) for x in levels):  # min() would let a NaN through
+            raise ValueError("noise levels must be finite")
+        if min(levels) < 0.0:
             raise ValueError("noise levels must be non-negative")
         if self.dropout >= 1.0:
             raise ValueError("dropout must be below 1")

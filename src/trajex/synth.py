@@ -13,22 +13,37 @@ imperfect).
 
 Everything is driven by one seeded generator with a fixed per-frame
 draw order, so a scene is a pure function of (scenario, noise, seed).
+Only the draws run per frame. Projection, pose noise, box edges and the
+checks run on arrays over all frames, and the 100 Hz executor runs on
+Python floats; both give the bits of a per-frame loop on numpy values.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import RobotOutsideFrustum, UnknownScenario
-from .geometry import CAMERA, WORLD, RigidTransform, Rotation, _unchecked, invert, project_points
+from .geometry import (
+    CAMERA,
+    WORLD,
+    _ROTATION_FAULTS,
+    RigidTransform,
+    Rotation,
+    _rodrigues,
+    _rotation_faults,
+    _unchecked,
+    invert,
+    project_points,
+)
 from .io import (
-    CameraPoseRecord,
     DetectionRecord,
     NoiseSpec,
     PipelineConfig,
+    _pose_records,
     associate,
     default_config,
 )
@@ -227,62 +242,87 @@ _RATE = 100.0  # executor control rate, Hz
 _LOOKAHEAD = 0.2  # pure-pursuit lookahead along the path, m
 
 
+def _interp(x: float, xp: list, fp: list) -> float:
+    """np.interp(x, xp, fp) of one float on lists, by numpy's own formula and so with its bits.
+
+    bisect finds numpy's interval when xp is sorted; a NaN in xp breaks both searches differently.
+    """
+    if x != x:
+        return x
+    j = bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    y = slope * (x - xp[j]) + fp[j]
+    if y != y:  # NaN from one end: numpy retries from the other
+        y = slope * (x - xp[j + 1]) + fp[j + 1]
+        if y != y and fp[j] == fp[j + 1]:
+            y = fp[j]
+    return y
+
+
 def execute(path: np.ndarray, mode: str, speed: float, duration: float) -> tuple[np.ndarray, np.ndarray]:
     """Drive a planned path at 100 Hz; returns (times, xy) of the executed motion.
 
     Modes:
       diff_drive       pure-pursuit unicycle (0.2 m lookahead) with slow-down at the goal
       quadruped_proxy  diff_drive plus a speed-scaled lateral gait sway
+
+    The control loop runs on Python floats: each distance is
+    sqrt(dx*dx + dy*dy) and each lookahead point np.interp's formula, so
+    the track has the bits of the same loop on numpy 2-vectors.
     """
     if mode not in ("diff_drive", "quadruped_proxy"):
         raise ValueError(f"unknown executor mode '{mode}'")
     path = np.asarray(path, dtype=float)
     n = int(round(duration * _RATE)) + 1
     times = np.arange(n) / _RATE
-    s = _arc_length(path)
+    s = _arc_length(path).tolist()
+    px, py = path[:, 0].tolist(), path[:, 1].tolist()
 
-    goal = path[-1]
+    gx, gy = px[-1], py[-1]
     dt = 1.0 / _RATE
     k_slow = 4.0
     omega_max = 2.5
 
-    x, y = path[0]
-    heading = math.atan2(path[1, 1] - path[0, 1], path[1, 0] - path[0, 0])
-    xs = np.empty(n)
-    ys = np.empty(n)
-    hs = np.empty(n)
-    vs = np.empty(n)
+    x, y = px[0], py[0]
+    heading = math.atan2(py[1] - py[0], px[1] - px[0])
+    track = []  # (x, y, heading, v) of each step
     i = 0
-    for k in range(n):
-        pos = np.array([x, y])
-        d_goal = float(np.linalg.norm(goal - pos))
+    for _ in range(n):
+        dx, dy = gx - x, gy - y
+        d_goal = math.sqrt(dx * dx + dy * dy)
         v = min(speed, k_slow * d_goal)
         # track progress along the path, never backwards
-        while i + 1 < len(path) and np.linalg.norm(path[i + 1] - pos) <= np.linalg.norm(
-            path[i] - pos
-        ):
-            i += 1
+        dx, dy = px[i] - x, py[i] - y
+        d_i = math.sqrt(dx * dx + dy * dy)
+        while i + 1 < len(px):
+            dx, dy = px[i + 1] - x, py[i + 1] - y
+            d_next = math.sqrt(dx * dx + dy * dy)
+            if not d_next <= d_i:
+                break
+            i, d_i = i + 1, d_next
         s_target = s[i] + _LOOKAHEAD
         if s_target >= s[-1]:
-            target = goal
+            dx, dy = gx - x, gy - y
         else:
-            target = np.array(
-                [np.interp(s_target, s, path[:, 0]), np.interp(s_target, s, path[:, 1])]
-            )
-        to_t = target - pos
-        dist_t = float(np.linalg.norm(to_t))
-        bearing_err = _wrap_angle(math.atan2(to_t[1], to_t[0]) - heading)
+            dx, dy = _interp(s_target, s, px) - x, _interp(s_target, s, py) - y
+        dist_t = math.sqrt(dx * dx + dy * dy)
+        bearing_err = _wrap_angle(math.atan2(dy, dx) - heading)
         if dist_t > 1e-9:
-            omega = np.clip(v * 2.0 * math.sin(bearing_err) / dist_t, -omega_max, omega_max)
+            omega = min(max(v * 2.0 * math.sin(bearing_err) / dist_t, -omega_max), omega_max)
         else:
             omega = 0.0
         if d_goal < 1e-6:
             v, omega = 0.0, 0.0
-        xs[k], ys[k], hs[k], vs[k] = x, y, heading, v
+        track.append((x, y, heading, v))
         x += v * math.cos(heading) * dt
         y += v * math.sin(heading) * dt
         heading = _wrap_angle(heading + omega * dt)
 
+    xs, ys, hs, vs = np.array(track).T
     xy = np.column_stack([xs, ys])
     if mode == "quadruped_proxy":
         # trot sway: lateral oscillation that dies out as the robot stops
@@ -320,11 +360,17 @@ def simulate(
     rectangle of the configured size, centered half its height above
     the robot's ground point, held parallel to the image plane. Its
     projection is therefore an exact axis-aligned box. Corner jitter,
-    dropout, and pose noise are applied per frame from one seeded
+    dropout, and pose noise are drawn per frame from one seeded
     generator with a fixed draw order, so outputs are reproducible and
-    comparable across noise levels.
+    comparable across noise levels. The draws are then applied on
+    arrays over all frames, and the records are built unchecked at the
+    end, once every check has passed over the stack.
 
-    Raises RobotOutsideFrustum if the true face ever leaves the image.
+    Raises RobotOutsideFrustum if the true face ever comes nearer than
+    0.1 m or leaves the image, and ValueError for a noisy pose or box
+    that is not finite or not valid. Each frame's checks run in the order
+    depth, frustum, rotation, translation, and the first faulty frame
+    raises; the boxes are checked after all frames.
     """
     if noise is None:
         noise = NoiseSpec.zero()
@@ -349,60 +395,70 @@ def simulate(
 
     cam_pose = scenario.camera_pose()
     cam_inv = invert(cam_pose)
-    face_h = model.height / 2.0
-    corners_offset = model.corners()  # billboard: model axes == camera axes
     u_max, v_max = 2.0 * intrinsics.cx, 2.0 * intrinsics.cy
 
     rng = np.random.default_rng(seed)
-    frames: list[DetectionRecord] = []
-    poses: list[CameraPoseRecord] = []
-    boxes = []  # (frame, cx, cy, w, h, confidence) of each detected frame
-    for k in range(n_frames):
+    draws = np.empty((n_frames, 16))
+    for row in draws:
         # fixed draw order, every frame, independent of outcomes
-        pose_g = rng.standard_normal(6)
-        drop_u = rng.random()
-        corner_g = rng.standard_normal(8)
-        conf_g = rng.standard_normal()
+        rng.standard_normal(out=row[:6])
+        row[6] = rng.random()
+        rng.standard_normal(out=row[7:15])
+        row[15] = rng.standard_normal()
+    pose_g, drop_u, corner_g, conf_g = draws[:, :6], draws[:, 6], draws[:, 7:15], draws[:, 15]
 
-        center_w = np.array([truth_xy[k, 0], truth_xy[k, 1], face_h])
-        center_c = cam_inv.rotation.apply(center_w) + cam_inv.translation
-        if center_c[2] < 0.1:
-            raise RobotOutsideFrustum(f"frame {k}: face depth {center_c[2]:.3f} m")
-        u, v = project_points(intrinsics, center_c + corners_offset).T
-        if np.min(u) < 0.0 or np.max(u) > u_max or np.min(v) < 0.0 or np.max(v) > v_max:
-            raise RobotOutsideFrustum(f"frame {k}: face projects outside the image")
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that overflows fails a check below
+        center_w = np.column_stack([truth_xy, np.full(n_frames, model.height / 2.0)])
+        center_c = center_w @ cam_inv.rotation.matrix.T + cam_inv.translation
+        z = center_c[:, 2]
+        too_near = z < 0.1
+        first_near = int(np.argmax(too_near)) if too_near.any() else n_frames  # no frame past it is projected
+        # billboard: model axes == camera axes
+        corners = (center_c[:first_near, None] + model.corners()).reshape(-1, 3)
+        u, v = project_points(intrinsics, corners).reshape(first_near, 4, 2).transpose(2, 0, 1)
+        outside = np.zeros(n_frames, dtype=bool)
+        outside[:first_near] = ((u.min(axis=1) < 0.0) | (u.max(axis=1) > u_max)
+                                | (v.min(axis=1) < 0.0) | (v.max(axis=1) > v_max))
 
-        t_noisy = cam_pose.translation + noise.pose_sigma_t * pose_g[:3]
-        r_noisy = Rotation.from_rotvec(noise.pose_sigma_r * pose_g[3:]) @ cam_pose.rotation
-        poses.append(
-            CameraPoseRecord(
-                float(frame_times[k]),
-                RigidTransform(r_noisy, t_noisy, frame_from=CAMERA, frame_to=WORLD),
-            )
-        )
+        t_noisy = cam_pose.translation + noise.pose_sigma_t * pose_g[:, :3]
+        r_delta = _rodrigues(noise.pose_sigma_r * pose_g[:, 3:])
+        r_noisy = r_delta @ cam_pose.rotation.matrix
+        delta_fault, noisy_fault = _rotation_faults(r_delta), _rotation_faults(r_noisy)
 
-        if drop_u < noise.dropout:
-            frames.append(DetectionRecord(k, float(frame_times[k])))
-            continue
-        uj = u + noise.pixel_sigma * corner_g[:4]
-        vj = v + noise.pixel_sigma * corner_g[4:]
+    # each frame's first failed check, in the order the per-frame constructors ran them
+    t_bad = ~np.isfinite(t_noisy).all(axis=1)
+    fault = np.select([too_near, outside, delta_fault > 0, noisy_fault > 0, t_bad], [1, 2, 3, 4, 5])
+    for k in np.flatnonzero(fault)[:1].tolist():
+        raise [
+            RobotOutsideFrustum(f"frame {k}: face depth {z[k]:.3f} m"),
+            RobotOutsideFrustum(f"frame {k}: face projects outside the image"),
+            ValueError(_ROTATION_FAULTS[delta_fault[k]]),
+            ValueError(_ROTATION_FAULTS[noisy_fault[k]]),
+            ValueError("translation has non-finite components"),
+        ][fault[k] - 1]
+
+    kept = np.flatnonzero(drop_u >= noise.dropout)
+    with np.errstate(over="ignore", invalid="ignore"):
+        uj = u[kept] + noise.pixel_sigma * corner_g[kept, :4]
+        vj = v[kept] + noise.pixel_sigma * corner_g[kept, 4:]
         # box edges from averaged corner pairs, so jitter stays unbiased
-        left = 0.5 * (uj[0] + uj[3])
-        right = 0.5 * (uj[1] + uj[2])
-        top = 0.5 * (vj[0] + vj[1])
-        bottom = 0.5 * (vj[2] + vj[3])
-        conf = float(np.clip(0.9 + 0.05 * conf_g, 0.0, 1.0))
-        boxes.append((k, 0.5 * (left + right), 0.5 * (top + bottom), right - left, bottom - top, conf))
-        frames.append(None)
+        left = 0.5 * (uj[:, 0] + uj[:, 3])
+        right = 0.5 * (uj[:, 1] + uj[:, 2])
+        top = 0.5 * (vj[:, 0] + vj[:, 1])
+        bottom = 0.5 * (vj[:, 2] + vj[:, 3])
+        vals = np.column_stack([0.5 * (left + right), 0.5 * (top + bottom), right - left, bottom - top])
+    conf = np.clip(0.9 + 0.05 * conf_g[kept], 0.0, 1.0)
 
-    # BoundingBox's checks, run once over all boxes
-    vals = np.array([b[1:5] for b in boxes]).reshape(-1, 4)
+    # BoundingBox's checks, run once over the detected boxes
     fault = _box_faults(vals)
     for i in np.flatnonzero(fault)[:1]:
         raise ValueError(_BOX_FAULTS[fault[i]].format(*vals[i, 2:].tolist()))
-    for (k, *_, conf), (cx, cy, w, h) in zip(boxes, vals.tolist()):
-        box = _unchecked(BoundingBox, cx=cx, cy=cy, w=w, h=h)
-        frames[k] = DetectionRecord(k, float(frame_times[k]), box, conf)
+
+    times = frame_times.tolist()
+    poses = _pose_records(times, r_noisy, t_noisy)
+    frames = [DetectionRecord(k, t) for k, t in enumerate(times)]
+    for k, (cx, cy, w, h), c in zip(kept.tolist(), vals.tolist(), conf.tolist()):
+        frames[k] = DetectionRecord(k, times[k], _unchecked(BoundingBox, cx=cx, cy=cy, w=w, h=h), c)
     return SimulatedScene(scenario, frames, poses, truth, cam_pose)
 
 

@@ -1,13 +1,23 @@
 """Synthetic scenes: planning, execution, rendering, and the full loop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from trajex.errors import RobotOutsideFrustum, UnknownScenario
+from trajex.geometry import CAMERA, WORLD, RigidTransform, Rotation, _unchecked, invert, project_points
+from trajex.io import CameraPoseRecord, DetectionRecord, PipelineConfig, default_config
+from trajex.pnp import _BOX_FAULTS, BoundingBox, _box_faults
 from trajex.synth import (
+    _LOOKAHEAD,
+    _RATE,
     NoiseSpec,
     Scenario,
     SimulatedScene,
+    _arc_length,
+    _interp,
+    _wrap_angle,
     builtin_scenarios,
     camera_looking,
     execute,
@@ -16,7 +26,7 @@ from trajex.synth import (
     run_pipeline,
     simulate,
 )
-from trajex.trajectory import path_length
+from trajex.trajectory import GroundTrack, path_length
 
 
 def test_noise_spec_validation():
@@ -24,6 +34,11 @@ def test_noise_spec_validation():
         NoiseSpec(pixel_sigma=-1.0)
     with pytest.raises(ValueError):
         NoiseSpec(dropout=1.0)
+    # min() skips a NaN, and a NaN dropout used to simulate as no dropout at all
+    for field in ("pixel_sigma", "dropout", "pose_sigma_t", "pose_sigma_r"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="noise levels must be finite"):
+                NoiseSpec(**{field: bad})
     assert NoiseSpec.zero().pixel_sigma == 0.0
     assert NoiseSpec.calibrated().pixel_sigma > 0.0
 
@@ -254,3 +269,254 @@ def test_quadruped_calibrated_rmse_stays_in_band():
         for s in range(10)
     ]
     assert np.median(rmses) <= 0.08
+
+
+# ---------------------------------------------------------------------------
+# The per-frame simulate loop and the numpy execute loop that the array code
+# replaced, kept verbatim as oracles: simulate and execute must give their
+# bits, and fail with their exception types and messages at the same frame.
+
+
+def _execute_numpy(
+    path: np.ndarray, mode: str, speed: float, duration: float
+) -> tuple[np.ndarray, np.ndarray]:
+    if mode not in ("diff_drive", "quadruped_proxy"):
+        raise ValueError(f"unknown executor mode '{mode}'")
+    path = np.asarray(path, dtype=float)
+    n = int(round(duration * _RATE)) + 1
+    times = np.arange(n) / _RATE
+    s = _arc_length(path)
+
+    goal = path[-1]
+    dt = 1.0 / _RATE
+    k_slow = 4.0
+    omega_max = 2.5
+
+    x, y = path[0]
+    heading = math.atan2(path[1, 1] - path[0, 1], path[1, 0] - path[0, 0])
+    xs = np.empty(n)
+    ys = np.empty(n)
+    hs = np.empty(n)
+    vs = np.empty(n)
+    i = 0
+    for k in range(n):
+        pos = np.array([x, y])
+        d_goal = float(np.linalg.norm(goal - pos))
+        v = min(speed, k_slow * d_goal)
+        # track progress along the path, never backwards
+        while i + 1 < len(path) and np.linalg.norm(path[i + 1] - pos) <= np.linalg.norm(
+            path[i] - pos
+        ):
+            i += 1
+        s_target = s[i] + _LOOKAHEAD
+        if s_target >= s[-1]:
+            target = goal
+        else:
+            target = np.array(
+                [np.interp(s_target, s, path[:, 0]), np.interp(s_target, s, path[:, 1])]
+            )
+        to_t = target - pos
+        dist_t = float(np.linalg.norm(to_t))
+        bearing_err = _wrap_angle(math.atan2(to_t[1], to_t[0]) - heading)
+        if dist_t > 1e-9:
+            omega = np.clip(v * 2.0 * math.sin(bearing_err) / dist_t, -omega_max, omega_max)
+        else:
+            omega = 0.0
+        if d_goal < 1e-6:
+            v, omega = 0.0, 0.0
+        xs[k], ys[k], hs[k], vs[k] = x, y, heading, v
+        x += v * math.cos(heading) * dt
+        y += v * math.sin(heading) * dt
+        heading = _wrap_angle(heading + omega * dt)
+
+    xy = np.column_stack([xs, ys])
+    if mode == "quadruped_proxy":
+        # trot sway: lateral oscillation that dies out as the robot stops
+        amp = 0.008
+        gait_hz = 2.0
+        lateral = np.column_stack([-np.sin(hs), np.cos(hs)])
+        xy = xy + (amp * (vs / speed) * np.sin(2.0 * math.pi * gait_hz * times))[:, None] * lateral
+    return times, xy
+
+
+def _simulate_per_frame(
+    scenario: Scenario,
+    noise: NoiseSpec | None = None,
+    seed: int = 0,
+    config: PipelineConfig | None = None,
+) -> SimulatedScene:
+    if noise is None:
+        noise = NoiseSpec.zero()
+    if config is None:
+        config = default_config()
+    intrinsics = config.camera()
+    model = config.robot()
+    frame_rate = float(config["frame_rate"])
+
+    path = planned_path(scenario)
+    exec_times, exec_xy = _execute_numpy(path, scenario.executor, scenario.speed, scenario.duration)
+
+    n_frames = int(scenario.duration * frame_rate)
+    frame_times = np.arange(n_frames) / frame_rate
+    truth_xy = np.column_stack(
+        [
+            np.interp(frame_times, exec_times, exec_xy[:, 0]),
+            np.interp(frame_times, exec_times, exec_xy[:, 1]),
+        ]
+    )
+    truth = GroundTrack(frame_times, truth_xy)
+
+    cam_pose = scenario.camera_pose()
+    cam_inv = invert(cam_pose)
+    face_h = model.height / 2.0
+    corners_offset = model.corners()  # billboard: model axes == camera axes
+    u_max, v_max = 2.0 * intrinsics.cx, 2.0 * intrinsics.cy
+
+    rng = np.random.default_rng(seed)
+    frames: list[DetectionRecord] = []
+    poses: list[CameraPoseRecord] = []
+    boxes = []  # (frame, cx, cy, w, h, confidence) of each detected frame
+    for k in range(n_frames):
+        # fixed draw order, every frame, independent of outcomes
+        pose_g = rng.standard_normal(6)
+        drop_u = rng.random()
+        corner_g = rng.standard_normal(8)
+        conf_g = rng.standard_normal()
+
+        center_w = np.array([truth_xy[k, 0], truth_xy[k, 1], face_h])
+        center_c = cam_inv.rotation.apply(center_w) + cam_inv.translation
+        if center_c[2] < 0.1:
+            raise RobotOutsideFrustum(f"frame {k}: face depth {center_c[2]:.3f} m")
+        u, v = project_points(intrinsics, center_c + corners_offset).T
+        if np.min(u) < 0.0 or np.max(u) > u_max or np.min(v) < 0.0 or np.max(v) > v_max:
+            raise RobotOutsideFrustum(f"frame {k}: face projects outside the image")
+
+        t_noisy = cam_pose.translation + noise.pose_sigma_t * pose_g[:3]
+        r_noisy = Rotation.from_rotvec(noise.pose_sigma_r * pose_g[3:]) @ cam_pose.rotation
+        poses.append(
+            CameraPoseRecord(
+                float(frame_times[k]),
+                RigidTransform(r_noisy, t_noisy, frame_from=CAMERA, frame_to=WORLD),
+            )
+        )
+
+        if drop_u < noise.dropout:
+            frames.append(DetectionRecord(k, float(frame_times[k])))
+            continue
+        uj = u + noise.pixel_sigma * corner_g[:4]
+        vj = v + noise.pixel_sigma * corner_g[4:]
+        # box edges from averaged corner pairs, so jitter stays unbiased
+        left = 0.5 * (uj[0] + uj[3])
+        right = 0.5 * (uj[1] + uj[2])
+        top = 0.5 * (vj[0] + vj[1])
+        bottom = 0.5 * (vj[2] + vj[3])
+        conf = float(np.clip(0.9 + 0.05 * conf_g, 0.0, 1.0))
+        boxes.append((k, 0.5 * (left + right), 0.5 * (top + bottom), right - left, bottom - top, conf))
+        frames.append(None)
+
+    # BoundingBox's checks, run once over all boxes
+    vals = np.array([b[1:5] for b in boxes]).reshape(-1, 4)
+    fault = _box_faults(vals)
+    for i in np.flatnonzero(fault)[:1]:
+        raise ValueError(_BOX_FAULTS[fault[i]].format(*vals[i, 2:].tolist()))
+    for (k, *_, conf), (cx, cy, w, h) in zip(boxes, vals.tolist()):
+        box = _unchecked(BoundingBox, cx=cx, cy=cy, w=w, h=h)
+        frames[k] = DetectionRecord(k, float(frame_times[k]), box, conf)
+    return SimulatedScene(scenario, frames, poses, truth, cam_pose)
+
+
+def _same_scene(a: SimulatedScene, b: SimulatedScene):
+    assert len(a.frames) == len(b.frames) and len(a.poses) == len(b.poses)
+    for fa, fb in zip(a.frames, b.frames):
+        assert (fa.frame_index, fa.timestamp, fa.confidence) == (fb.frame_index, fb.timestamp, fb.confidence)
+        assert type(fa.frame_index) is type(fb.frame_index) and type(fa.confidence) is type(fb.confidence)
+        assert (fa.bbox is None) == (fb.bbox is None)
+        if fa.bbox is not None:
+            boxes = np.array([[f.bbox.cx, f.bbox.cy, f.bbox.w, f.bbox.h] for f in (fa, fb)])
+            assert boxes[0].tobytes() == boxes[1].tobytes()
+    for pa, pb in zip(a.poses, b.poses):
+        assert pa.timestamp == pb.timestamp
+        assert (pa.pose.frame_from, pa.pose.frame_to) == (pb.pose.frame_from, pb.pose.frame_to)
+        assert pa.pose.rotation.matrix.tobytes() == pb.pose.rotation.matrix.tobytes()
+        assert pa.pose.translation.tobytes() == pb.pose.translation.tobytes()
+        assert not pb.pose.rotation.matrix.flags.writeable and not pb.pose.translation.flags.writeable
+    assert a.truth.times.tobytes() == b.truth.times.tobytes()
+    assert a.truth.xy.tobytes() == b.truth.xy.tobytes()
+
+
+def _same_execute(path, mode, speed, duration):
+    for want, got in zip(_execute_numpy(path, mode, speed, duration), execute(path, mode, speed, duration)):
+        assert want.tobytes() == got.tobytes()
+
+
+_HEAVY = NoiseSpec(3.0, 0.2, 0.02, 0.01)
+
+
+@pytest.mark.parametrize("name", ["ugv_red", "ugv_blue", "quadruped"])
+def test_simulate_and_execute_match_per_frame_loops(name):
+    sc = get_scenario(name)
+    path = planned_path(sc)
+    for mode in ("diff_drive", "quadruped_proxy"):
+        _same_execute(path, mode, sc.speed, sc.duration)
+    for noise in (NoiseSpec.zero(), NoiseSpec.calibrated(), _HEAVY):
+        for seed in (0, 1):
+            _same_scene(_simulate_per_frame(sc, noise, seed), simulate(sc, noise, seed))
+
+
+def test_execute_matches_numpy_loop_off_the_stock_routes():
+    line = np.array([[0.0, 0.0], [1.0, 0.0]])
+    zigzag = np.array([[0.0, 0.0], [0.3, 0.4], [0.3, 0.4], [0.6, -0.2], [1.5, 0.1]])  # a repeated vertex
+    for path, speed, duration in ((line, 0.35, 6.0), (zigzag, 0.5, 5.0), (zigzag, 2.0, 0.5)):
+        for mode in ("diff_drive", "quadruped_proxy"):
+            _same_execute(path, mode, speed, duration)
+
+
+def test_interp_has_numpy_bits():
+    # the executor loop absorbs a last-bit change of its lookahead point in the heading's rounding,
+    # so the formula is held to np.interp directly
+    rng = np.random.default_rng(5)
+    xp = np.cumsum(rng.exponential(size=300) * (rng.random(300) > 0.1))  # with repeated knots
+    fp = rng.standard_normal(300) * 10.0 ** rng.integers(-3, 4, 300)
+    fp[[7, 8, 40, 60, 61, 80, 81]] = np.inf, 1e308, -1e308, np.inf, -np.inf, np.inf, np.inf
+    x = np.concatenate([rng.uniform(xp[0] - 1.0, xp[-1] + 1.0, 5000), xp, [np.nan, -np.inf, np.inf]])
+    with np.errstate(all="ignore"):
+        want = np.interp(x, xp, fp)
+    got = np.array([_interp(xi, xp.tolist(), fp.tolist()) for xi in x.tolist()])
+    assert want.tobytes() == got.tobytes()
+
+
+def _scenario(waypoints, camera_position=(0.0, 4.5, 1.5), camera_view=(0.0, -0.9, -0.42)):
+    return Scenario("hostile", waypoints, 0.35, 10.0, camera_position, camera_view)
+
+
+_FACING = ((0.0, 2.5, 0.0005), (0.0, -1.0, 0.0))  # a camera at face height, looking along -y
+
+
+_TINY_FACE = default_config().with_overrides(["robot.width=0.001", "robot.height=0.001"])
+
+
+@pytest.mark.parametrize(
+    "scenario, noise, config",
+    [
+        (get_scenario("ugv_red"), NoiseSpec(pose_sigma_t=1e308), None),  # the translation overflows to inf
+        (get_scenario("ugv_red"), NoiseSpec(pose_sigma_r=1e300), None),  # the rotation goes non-finite
+        (get_scenario("quadruped"), NoiseSpec(pose_sigma_t=1e308, pose_sigma_r=1e300), None),
+        (get_scenario("ugv_blue"), NoiseSpec(pixel_sigma=1e6), None),  # a box of negative size
+        (get_scenario("ugv_blue"), NoiseSpec(pixel_sigma=1e308, dropout=0.5), None),  # an infinite box
+        # behind the camera from frame 0: the depth check comes before the pose checks
+        (_scenario(((0.0, 8.0), (0.0, 9.0))), NoiseSpec(pose_sigma_t=1e308, pose_sigma_r=1e300), None),
+        # outside the image from frame 0: the frustum check comes before the pose checks
+        (_scenario(((3.0, 1.9), (3.0, 1.0))), NoiseSpec(pose_sigma_t=1e308, pose_sigma_r=1e300), None),
+        # leaves the image at the bottom, and later goes behind the camera
+        (_scenario(((0.0, 1.9), (0.0, 7.0))), NoiseSpec.zero(), None),
+        # a face too small to leave the image, driven into a camera at its height
+        (_scenario(((0.0, 2.0), (0.0, 3.0)), *_FACING), NoiseSpec.zero(), _TINY_FACE),
+        (_scenario(((0.0, 2.0), (0.0, 3.0)), *_FACING), NoiseSpec(pose_sigma_t=1e308), _TINY_FACE),
+    ],
+)
+def test_simulate_fails_as_per_frame_loop(scenario, noise, config):
+    with np.errstate(all="ignore"), pytest.raises((ValueError, RobotOutsideFrustum)) as want:
+        _simulate_per_frame(scenario, noise, 0, config)
+    with pytest.raises(want.type) as got:  # and with no RuntimeWarning on the way
+        simulate(scenario, noise, 0, config)
+    assert type(got.value) is want.type and str(got.value) == str(want.value)
